@@ -15,7 +15,6 @@
 
 #include "automata/Difference.h"
 #include "automata/Ncsb.h"
-#include "automata/NestedDfs.h"
 #include "automata/Simulation.h"
 #include "benchgen/RandomAutomata.h"
 #include "logic/Simplex.h"
@@ -148,18 +147,6 @@ void BM_EmptinessGaiserSchwoon(benchmark::State &St) {
     benchmark::DoNotOptimize(isEmpty(A));
 }
 BENCHMARK(BM_EmptinessGaiserSchwoon);
-
-void BM_EmptinessNestedDfs(benchmark::State &St) {
-  Rng R(5);
-  RandomAutomatonSpec Spec;
-  Spec.NumStates = 200;
-  Spec.NumSymbols = 2;
-  Spec.AcceptPercent = 10;
-  Buchi A = randomBa(R, Spec);
-  for (auto _ : St)
-    benchmark::DoNotOptimize(isEmptyNestedDfs(A));
-}
-BENCHMARK(BM_EmptinessNestedDfs);
 
 void BM_DirectSimulationQuotient(benchmark::State &St) {
   Rng R(6);

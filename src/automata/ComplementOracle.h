@@ -74,15 +74,6 @@ public:
   /// (`Sub [=' Sup`). The default is plain equality, which is always sound.
   virtual bool subsumedBy(State Sub, State Sup) const { return Sub == Sup; }
 
-  /// \returns true when subsumedBy is an EARLY simulation-style preorder
-  /// (PLDI'18 Section 6.1): along any run of Sub the matching run of Sup
-  /// covers acceptance no later. Required by the Couvreur emptiness
-  /// engine's on-stack cutoff -- plain language inclusion is NOT enough
-  /// there (it still suffices for the frontier antichain). The default is
-  /// conservative; NCSB-Lazy's [=_B overrides it (B(Sub) supseteq B(Sup)
-  /// forces acceptance, B = emptyset, stepwise).
-  virtual bool subsumptionIsEarly() const { return false; }
-
   /// Eagerly explores every reachable macro-state into an explicit BA
   /// (acceptance condition 0 = oracle acceptance). Used by the Figure 4
   /// benchmarks, where complement sizes themselves are the measurement.

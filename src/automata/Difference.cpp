@@ -6,11 +6,9 @@
 
 #include "automata/Difference.h"
 
-#include "automata/CouvreurEmptiness.h"
 #include "automata/Interner.h"
 #include "automata/PerfCounters.h"
 #include "support/FaultInjector.h"
-#include "support/Trace.h"
 
 #include <cassert>
 
@@ -187,114 +185,17 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
     return Out;
   }
 
+  // Only completed constructions are charged: an aborted one frees its
+  // states on return, and charging it would double-bill retries.
   auto ChargeGuard = [&] {
     if (Opts.Guard)
       Opts.Guard->chargeStates(Out.ProductStatesExplored +
                                Out.ComplementStatesDiscovered);
   };
 
-  const bool WantCouvreur =
-      Opts.Emptiness == EmptinessStrategy::Couvreur ||
-      (Opts.Emptiness == EmptinessStrategy::Auto && Opts.EmptinessOnly);
-
-  if (WantCouvreur) {
-    // The Couvreur/Tarjan engine answers emptiness first. When the
-    // difference is empty this replaces Algorithm 1 AND the
-    // materialization; when it is nonempty and the caller wants the
-    // automaton, Algorithm 1 below re-runs over the warm arc memo.
-    TraceSpan Span(Opts.Tracer, "emptiness.couvreur");
-    EmptinessOptions EO;
-    EO.ShouldAbort = Hook;
-    EO.PollStride = Remover.PollStride;
-    EO.FindWitness = Opts.WantWitness;
-    // The pre-pass keeps a PRIVATE antichain (per A state, like the
-    // remover's): entries added under a provisionally justified on-stack
-    // prune are discarded through ResetKnownEmpty on a cutoff restart, and
-    // must never leak into the remover's own antichain.
-    std::vector<std::vector<State>> Emp2;
-    if (Opts.UseSubsumption) {
-      EO.SubsumedBy = [&Src, &BC](State Sub, State Sup) {
-        if (Sub == Sup)
-          return true; // syntactic fast path
-        auto [PA, QA] = Src.decode(Sub);
-        auto [PB, QB] = Src.decode(Sup);
-        return PA == PB && (QA == QB || BC.subsumedBy(QA, QB));
-      };
-      // The on-stack cutoff needs an EARLY relation (DESIGN.md section
-      // 17); the oracle knows whether its preorder qualifies.
-      EO.SubsumptionIsEarly = BC.subsumptionIsEarly();
-      Emp2.resize(A.numStates());
-      EO.IsKnownEmpty = [&Src, &BC, &Emp2](State S) {
-        auto [P, Q] = Src.decode(S);
-        for (State R : Emp2[P])
-          if (BC.subsumedBy(Q, R))
-            return true;
-        return false;
-      };
-      EO.AddKnownEmpty = [&Src, &BC, &Emp2](State S) {
-        auto [P, Q] = Src.decode(S);
-        std::vector<State> &Chain = Emp2[P];
-        for (State R : Chain)
-          if (BC.subsumedBy(Q, R))
-            return;
-        size_t Keep = 0;
-        for (size_t I = 0; I < Chain.size(); ++I)
-          if (!BC.subsumedBy(Chain[I], Q))
-            Chain[Keep++] = Chain[I];
-        Chain.resize(Keep);
-        Chain.push_back(Q);
-      };
-      EO.ResetKnownEmpty = [&Emp2] {
-        for (std::vector<State> &Chain : Emp2)
-          Chain.clear();
-      };
-    }
-
-    CouvreurEmptiness Engine;
-    EmptinessResult ER = Engine.check(Src, EO);
-    Out.EmptinessEngine = Engine.name();
-    Out.CouvreurSccs = ER.SccsClosed;
-    Out.CouvreurCutoffs = ER.OnStackCutoffs + ER.ClosedCutoffs;
-    Out.ProductStatesExplored = ER.StatesExplored;
-    Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
-    Out.SubsumptionPruned = ER.ClosedCutoffs;
-    Out.ArcsMemoized = Src.numArcsMemoized();
-    Out.Aborted = ER.Aborted || BC.aborted();
-    Out.HitStateCap = CapHit;
-    if (Out.Aborted)
-      return Out;
-    Out.IsEmpty = ER.IsEmpty;
-    Out.Witness = std::move(ER.Witness);
-    if (ER.IsEmpty || Opts.EmptinessOnly) {
-      ChargeGuard();
-      return Out;
-    }
-    // Nonempty and the caller needs the materialized difference: fall
-    // through to Algorithm 1.
-  } else if (Opts.EmptinessOnly) {
-    GaiserSchwoonEmptiness Engine;
-    EmptinessOptions EO;
-    EO.ShouldAbort = Hook;
-    EO.PollStride = Remover.PollStride;
-    EO.IsKnownEmpty = Remover.IsKnownUseless;
-    EO.AddKnownEmpty = Remover.AddUseless;
-    EO.FindWitness = Opts.WantWitness;
-    EmptinessResult ER = Engine.check(Src, EO);
-    Out.EmptinessEngine = Engine.name();
-    Out.IsEmpty = ER.IsEmpty;
-    Out.ProductStatesExplored = ER.StatesExplored;
-    Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
-    Out.SubsumptionPruned = SubsumptionPruned;
-    Out.ArcsMemoized = Src.numArcsMemoized();
-    Out.Aborted = ER.Aborted || BC.aborted();
-    Out.HitStateCap = CapHit;
-    if (Out.Aborted)
-      return Out;
-    Out.Witness = std::move(ER.Witness);
-    ChargeGuard();
-    return Out;
-  }
-
+  // An emptiness-only query is the plain Gaiser-Schwoon test: stop at the
+  // first accepting SCC and skip the materialization below.
+  Remover.StopAtFirstAccepting = Opts.EmptinessOnly;
   RemoveUselessResult R = Remover.run(Src);
   Out.IsEmpty = R.LanguageEmpty;
   Out.ProductStatesExplored = R.StatesExplored;
@@ -308,6 +209,10 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
   Out.HitStateCap = CapHit;
   if (Out.Aborted)
     return Out;
+  if (Opts.EmptinessOnly) {
+    ChargeGuard();
+    return Out;
+  }
 
   // Materialize the useful part. Product condition bit 0 is the
   // complement's; shift A's conditions up by one to match acceptMask().
@@ -342,10 +247,6 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
       Out.D.addInitial(Map[S]);
   }
   Out.ArcsMemoized = Src.numArcsMemoized();
-  // Only completed constructions are charged: an aborted one frees its
-  // states on return, and charging it would double-bill retries.
-  if (Opts.Guard)
-    Opts.Guard->chargeStates(Out.ProductStatesExplored +
-                             Out.ComplementStatesDiscovered);
+  ChargeGuard();
   return Out;
 }

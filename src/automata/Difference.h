@@ -24,39 +24,19 @@
 #define TERMCHECK_AUTOMATA_DIFFERENCE_H
 
 #include "automata/ComplementOracle.h"
-#include "automata/Emptiness.h"
 #include "automata/Scc.h"
 #include "support/ResourceGuard.h"
 
 namespace termcheck {
-
-class Trace;
 
 /// Tuning knobs for the difference construction.
 struct DifferenceOptions {
   /// Use the subsumption antichain for the emp set (Section 6). When
   /// false, emp is an exact set (plain Algorithm 1).
   bool UseSubsumption = true;
-  /// Which engine answers the emptiness question. GaiserSchwoon is the
-  /// historical Algorithm 1 path. Couvreur runs the on-stack-cutoff SCC
-  /// search first: an empty verdict skips Algorithm 1 and materialization
-  /// entirely, a nonempty one falls through to the (arc-memo-warm)
-  /// materializing path unless EmptinessOnly is set. Auto picks Couvreur
-  /// for emptiness-only queries and GaiserSchwoon otherwise (the
-  /// materialization needs Algorithm 1's useful/useless classification
-  /// anyway, so a pre-pass is only worth it when explicitly requested).
-  EmptinessStrategy Emptiness = EmptinessStrategy::Auto;
-  /// The caller only needs IsEmpty (language-inclusion queries): skip the
-  /// materialization, and let the engines stop at the first accepting SCC.
+  /// The caller only needs IsEmpty (language-inclusion queries): Algorithm
+  /// 1 stops at the first accepting SCC and D is not materialized.
   bool EmptinessOnly = false;
-  /// Reconstruct an accepting product lasso into Result.Witness when the
-  /// difference is decided nonempty by an emptiness engine (EmptinessOnly
-  /// or the Couvreur pre-pass). The word is over A's alphabet and lies in
-  /// L(A) \ L(B).
-  bool WantWitness = false;
-  /// Optional trace handle (non-owning); the Couvreur pre-pass emits an
-  /// "emptiness.couvreur" span into it.
-  Trace *Tracer = nullptr;
   /// Optional budget hook; when it returns true the construction aborts
   /// and the result carries Aborted = true.
   std::function<bool()> ShouldAbort;
@@ -98,16 +78,6 @@ struct DifferenceResult {
   /// Product arcs memoized by the on-the-fly product: each is computed once
   /// during the search and replayed from the cache during materialization.
   size_t ArcsMemoized = 0;
-  /// Stable name of the engine that decided IsEmpty ("gaiser_schwoon" or
-  /// "couvreur"); surfaced in the run report.
-  const char *EmptinessEngine = "gaiser_schwoon";
-  /// SCCs closed by the Couvreur engine (zero on the Algorithm 1 path).
-  size_t CouvreurSccs = 0;
-  /// Successors the Couvreur engine pruned (on-stack plus closed cutoffs).
-  size_t CouvreurCutoffs = 0;
-  /// Accepting product lasso (present when WantWitness was set and an
-  /// emptiness engine decided nonempty).
-  std::optional<LassoWord> Witness;
 };
 
 /// Computes the useful part of L(A) \ L(B-bar-source). \p A provides k

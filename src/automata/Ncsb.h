@@ -76,15 +76,6 @@ public:
   /// component-wise superset of Sub over Sup.
   bool subsumedBy(State Sub, State Sup) const override;
 
-  /// [=_B is early: B(Sub) supseteq B(Sup) is preserved stepwise by the
-  /// successor rules (Theorem 6.4), so B(Sub) = emptyset (acceptance)
-  /// forces B(Sup) = emptyset at the same step. [= (Original) drops the B
-  /// constraint and is only early+1, which the on-stack cutoff must not
-  /// use.
-  bool subsumptionIsEarly() const override {
-    return Variant == NcsbVariant::Lazy;
-  }
-
   /// The interned macro-state behind a dense id (tests, debugging). The
   /// reference is stable across later discoveries (arena-backed interner).
   const NcsbMacroState &macroState(State S) const { return Macro[S]; }

@@ -234,8 +234,7 @@ Buchi termcheck::unionBa(const Buchi &A, const Buchi &B) {
 std::optional<bool> termcheck::isIncludedIn(const Buchi &A, const Buchi &B) {
   assert(A.numSymbols() == B.numSymbols() && "alphabet mismatch");
   // A pure language-inclusion query never needs the materialized
-  // difference, so let the engine stop at the first accepting SCC (and
-  // the Auto strategy run Couvreur with its on-stack cutoffs).
+  // difference, so let Algorithm 1 stop at the first accepting SCC.
   DifferenceOptions Opts;
   Opts.EmptinessOnly = true;
   Buchi Complete = completeWithSink(B);

@@ -46,11 +46,6 @@ struct Counters {
   /// Components complemented by an engine cheaper than the rank-based
   /// fallback (finite-trace subset, Kurshan DBA, or NCSB).
   uint64_t ModularCheapComponents = 0;
-  /// SCCs fully closed by the Couvreur emptiness engine.
-  uint64_t CouvreurSccs = 0;
-  /// Successors pruned by the Couvreur engine's cutoffs (on-stack
-  /// simulation prunes plus closed-antichain prunes).
-  uint64_t CouvreurCutoffs = 0;
 };
 
 /// This thread's counter bag.

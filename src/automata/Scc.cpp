@@ -6,7 +6,6 @@
 
 #include "automata/Scc.h"
 
-#include "automata/DfsFrames.h"
 #include "automata/Interner.h"
 
 #include <algorithm>
@@ -21,8 +20,47 @@ using namespace termcheck;
 
 namespace {
 
+/// Shared successor storage for DFS over a GbaSource. Sources append
+/// successors into a caller-provided buffer, so each frame is a slice
+/// [Begin, End) of one arena vector with a cursor; pop() truncates the
+/// arena back, so the arena's high-water mark is the successor count of the
+/// deepest DFS path, not of the whole exploration.
+///
+/// Arc references returned by next() are invalidated by the next push()
+/// (the arena may reallocate); callers copy the arc by value.
+class ArcArena {
+public:
+  struct Frame {
+    State S;
+    size_t Begin; ///< first arc of the slice (arena index)
+    size_t Idx;   ///< cursor (arena index), Begin <= Idx <= End
+    size_t End;   ///< one past the last arc of the slice
+  };
+
+  /// Appends S's successors to the arena and returns the new frame.
+  Frame push(GbaSource &Src, State S) {
+    size_t Begin = Arena.size();
+    Src.arcs(S, Arena);
+    return {S, Begin, Begin, Arena.size()};
+  }
+
+  /// Reclaims the top frame's slice. Frames MUST be popped LIFO.
+  void pop(const Frame &F) {
+    assert(Arena.size() == F.End && "arena frames must be popped LIFO");
+    Arena.resize(F.Begin);
+  }
+
+  bool done(const Frame &F) const { return F.Idx == F.End; }
+  /// Precondition: !done(F). Advances F's cursor. The reference dies at the
+  /// next push(); copy the arc.
+  const Buchi::Arc &next(Frame &F) { return Arena[F.Idx++]; }
+
+private:
+  std::vector<Buchi::Arc> Arena;
+};
+
 /// DFS frame of the iterative construct() of Algorithm 1: the shared
-/// arena slice (DfsFrames.h) plus Algorithm 1's nonemptiness flag.
+/// arena slice plus Algorithm 1's nonemptiness flag.
 struct Frame {
   ArcArena::Frame F;
   bool IsNemp = false;
@@ -200,6 +238,30 @@ std::string LassoWord::str() const {
     S += (I ? " " : "") + std::to_string(Loop[I]);
   return S + "]";
 }
+
+namespace {
+
+/// DFS frame over an explicit automaton: the state plus a cursor into its
+/// arc row. arcsFrom's row reference is stable while no state is added,
+/// which the Tarjan search below guarantees, so the span is cached once at
+/// push and the frame stack never allocates once its capacity is warm.
+struct ExplicitArcFrame {
+  State S;
+  const Buchi::Arc *Cur;
+  const Buchi::Arc *End;
+
+  ExplicitArcFrame(const Buchi &A, State S) : S(S) {
+    const std::vector<Buchi::Arc> &Arcs = A.arcsFrom(S);
+    Cur = Arcs.data();
+    End = Cur + Arcs.size();
+  }
+
+  bool done() const { return Cur == End; }
+  /// Precondition: !done(). Advances the cursor.
+  const Buchi::Arc &next() { return *Cur++; }
+};
+
+} // namespace
 
 SccDecomposition termcheck::sccDecompose(const Buchi &A) {
   const uint32_t N = A.numStates();

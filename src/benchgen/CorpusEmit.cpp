@@ -79,10 +79,9 @@ BenchProgram invariantNeeded(const std::string &Name, int Step) {
 
 /// Terminating: a Depth-deep nest of constant-bound inner loops under one
 /// decreasing outer counter. The program automaton develops a long chain
-/// of non-accepting loop SCCs -- the shape the deep-SCC emptiness corpus
-/// (randomDeepSccBa) mirrors on the automaton side -- so these instances
-/// stress the emptiness engines' SCC stacks rather than the rankers (every
-/// level has the trivial ranking function of its own counter).
+/// of non-accepting loop SCCs, so these instances stress the emptiness
+/// search's SCC stacks rather than the rankers (every level has the
+/// trivial ranking function of its own counter).
 BenchProgram deepNest(const std::string &Name, int Depth, int Bound) {
   std::string Src = "program " + Name + "(i0) {\n";
   std::string Ind = "  ";

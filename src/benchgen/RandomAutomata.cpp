@@ -209,78 +209,6 @@ Buchi termcheck::randomClassMixedBa(Rng &R, const ClassMixedSpec &Spec) {
   return A;
 }
 
-Buchi termcheck::randomDeepSccBa(Rng &R, const DeepSccSpec &Spec,
-                                 std::vector<State> *EchoOf) {
-  assert(Spec.NumSymbols >= 2 && "rings use symbol 0, bridges symbol 1");
-  assert(Spec.Blocks >= 1 && "the chain needs at least one block");
-  // A 1-state ring's entry would also be the bridge host, so clamp to 2.
-  const uint32_t K = Spec.BlockStates < 2 ? 2 : Spec.BlockStates;
-  const uint32_t E = Spec.EchoesPerBlock;
-  const uint32_t L = Spec.EchoLength < 1 ? 1 : Spec.EchoLength;
-  const uint32_t B = Spec.Blocks;
-
-  // Layout per block: K ring states, then E corridors of L states each;
-  // bridge states (one per chain hop) trail the blocks.
-  Buchi A(Spec.NumSymbols, 1);
-  A.addStates(B * (K + E * L) + (B - 1));
-  auto Ring = [&](uint32_t Blk, uint32_t I) {
-    return static_cast<State>(Blk * (K + E * L) + I);
-  };
-  auto Echo = [&](uint32_t Blk, uint32_t C, uint32_t I) {
-    return static_cast<State>(Blk * (K + E * L) + K + C * L + I);
-  };
-  auto Bridge = [&](uint32_t Blk) { // between block Blk and Blk + 1
-    return static_cast<State>(B * (K + E * L) + Blk);
-  };
-  if (EchoOf) {
-    EchoOf->resize(A.numStates());
-    for (State S = 0; S < A.numStates(); ++S)
-      (*EchoOf)[S] = S;
-  }
-
-  for (uint32_t Blk = 0; Blk < B; ++Blk) {
-    // Non-accepting symbol-0 ring: one SCC per block.
-    for (uint32_t I = 0; I < K; ++I)
-      A.addTransition(Ring(Blk, I), 0, Ring(Blk, (I + 1) % K));
-    // Corridors mirror the ring's phase: state I of a corridor steps on
-    // symbol 0 like Ring[I % K] does, and the last state rejoins the real
-    // ring at the matching phase. The pairs (Echo[C][I], Ring[I % K]) plus
-    // identity form a direct simulation (same symbol, simulated targets),
-    // so every corridor state is subsumed by construction -- pruning the
-    // head skips the whole corridor.
-    for (uint32_t C = 0; C < E; ++C)
-      for (uint32_t I = 0; I < L; ++I) {
-        State Next = I + 1 < L ? Echo(Blk, C, I + 1)
-                               : Ring(Blk, (I + 1) % K);
-        A.addTransition(Echo(Blk, C, I), 0, Next);
-        if (EchoOf)
-          (*EchoOf)[Echo(Blk, C, I)] = Ring(Blk, I % K);
-      }
-    // In-ring corridor entries from random non-entry ring states: these
-    // fire while the ring entry is still on the DFS stack (the on-stack
-    // cutoff site). The bridge below retargets corridor 0's head instead
-    // (the closed-antichain site).
-    for (uint32_t C = Blk == 0 ? 0 : 1; C < E; ++C)
-      A.addTransition(Ring(Blk, 1 + static_cast<uint32_t>(R.below(K - 1))),
-                      1, Echo(Blk, C, 0));
-    // Bridge to the next block: accepting, on no cycle, targets the next
-    // ring entry FIRST and a corridor head second, so a DFS closes the
-    // real block before it ever weighs the echo.
-    if (Blk + 1 < B) {
-      State X = Bridge(Blk);
-      A.setAccepting(X);
-      A.addTransition(Ring(Blk, K - 1), 1, X);
-      A.addTransition(X, 0, Ring(Blk + 1, 0));
-      if (E)
-        A.addTransition(X, 1, Echo(Blk + 1, 0, 0));
-    }
-  }
-  if (Spec.Nonempty)
-    A.setAccepting(Ring(B - 1, static_cast<uint32_t>(R.below(K))));
-  A.addInitial(Ring(0, 0));
-  return A;
-}
-
 LassoWord termcheck::randomLasso(Rng &R, uint32_t NumSymbols, uint32_t MaxStem,
                                  uint32_t MaxLoop) {
   assert(NumSymbols > 0 && MaxLoop > 0 && "loop cannot be empty");

@@ -76,41 +76,6 @@ struct ClassMixedSpec {
 /// succeed.
 Buchi randomClassMixedBa(Rng &R, const ClassMixedSpec &Spec);
 
-/// Shape parameters for the deep-SCC long-tail corpus (the emptiness-engine
-/// benchmark family). The automaton is a chain of \p Blocks non-accepting
-/// ring SCCs joined by accepting bridge states that lie on no cycle, so the
-/// empty instances are nontrivially empty (accepting states exist but none
-/// on a cycle). Each block additionally carries \p EchoesPerBlock "echo"
-/// corridors of \p EchoLength states each: deterministic symbol-0 paths
-/// that mirror the ring's phase and rejoin it, so every corridor state is
-/// direct-simulation-subsumed by its phase-aligned ring state *by
-/// construction*. Corridor heads are reachable both from inside the block
-/// (while the ring entry is still on the DFS stack -- the on-stack
-/// cutoff's food) and from the bridge after the block closed (the
-/// closed-state antichain's food); an engine without cutoffs walks every
-/// corridor end to end, an engine with them prunes each at its head.
-struct DeepSccSpec {
-  uint32_t NumSymbols = 2;   ///< >= 2 (rings use 0, bridges/echo entries 1)
-  uint32_t Blocks = 8;       ///< chained SCCs (>= 1)
-  uint32_t BlockStates = 4;  ///< ring states per block (clamped to >= 2)
-  uint32_t EchoesPerBlock = 2; ///< echo corridors per block
-  uint32_t EchoLength = 12;  ///< states per corridor (clamped to >= 1)
-  /// Make the LAST block's ring accepting: the instance becomes nonempty,
-  /// with the only accepting cycle at the far end of the chain.
-  bool Nonempty = false;
-};
-
-/// Generates the deep-SCC chain described on DeepSccSpec. When \p EchoOf is
-/// non-null it is resized to the state count and filled with the structural
-/// subsumption witness: EchoOf[E] is the ring state whose language contains
-/// E's (corridor states mirror their phase ring state's symbol-0 arc), and
-/// EchoOf[S] == S for every non-echo state. `Sub == Sup || EchoOf[Sub] ==
-/// Sup` is therefore a sound SubsumedBy oracle, and it is *early* (the
-/// witness is a direct simulation), so benches can drive the on-stack
-/// cutoff without paying for a quadratic simulation solve.
-Buchi randomDeepSccBa(Rng &R, const DeepSccSpec &Spec,
-                      std::vector<State> *EchoOf = nullptr);
-
 } // namespace termcheck
 
 #endif // TERMCHECK_BENCHGEN_RANDOMAUTOMATA_H

@@ -55,8 +55,6 @@ const char *termcheck::faultSiteName(FaultSite S) {
     return "modular_expand";
   case FaultSite::SandboxEntry:
     return "sandbox_entry";
-  case FaultSite::EmptinessStep:
-    return "emptiness_step";
   case FaultSite::NumSites:
     break;
   }

@@ -10,7 +10,7 @@
 /// atomic load, cheap enough for the Rational hot loop -- and does nothing
 /// unless a test arms it.
 ///
-/// Injection points live at the four spots where real faults were observed
+/// Injection points live at the six spots where real faults were observed
 /// or are plausible under production load:
 ///
 ///   * RationalOp       -- every checked Rational multiply/add,
@@ -18,9 +18,7 @@
 ///   * NcsbSuccessor    -- each NCSB successor computation,
 ///   * ProverEntry      -- entry of the lasso and recurrence provers,
 ///   * ModularExpand    -- each tuple expansion of the modular complement,
-///   * SandboxEntry     -- entry of a sandboxed termcheckd worker process,
-///   * EmptinessStep    -- each state entered by the Couvreur emptiness
-///                         engine's SCC search.
+///   * SandboxEntry     -- entry of a sandboxed termcheckd worker process.
 ///
 /// All sites but SandboxEntry throw through hit(). SandboxEntry is a HARD
 /// fault site: the sandbox worker consumes its plan via consumeHard() and
@@ -61,7 +59,6 @@ enum class FaultSite : uint8_t {
   ProverEntry,
   ModularExpand,
   SandboxEntry,
-  EmptinessStep,
   NumSites,
 };
 

@@ -314,8 +314,6 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
   DiffOpts.ShouldAbort = BudgetHook;
   DiffOpts.MaxProductStates = Opts.MaxProductStates;
   DiffOpts.Guard = Opts.Guard;
-  DiffOpts.Emptiness = Opts.Emptiness;
-  DiffOpts.Tracer = Opts.Tracer;
 
   std::unique_ptr<ComplementOracle> Oracle;
   std::optional<Sdba> Prepared;
@@ -369,8 +367,6 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
                          R ? static_cast<int64_t>(R->ArcsMemoized)
                            : int64_t(0))
                    .with("aborted", R ? R->Aborted : false)
-                   .with("emptiness",
-                         R ? R->EmptinessEngine : "gaiser_schwoon")
                    .with("word_fallback", WordFallback));
   };
 
@@ -409,12 +405,6 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
             static_cast<int64_t>(R.SubsumptionPruned));
   Stats.add("difference.arcs_memoized",
             static_cast<int64_t>(R.ArcsMemoized));
-  if (R.CouvreurSccs != 0 || R.CouvreurCutoffs != 0) {
-    Stats.add("difference.couvreur_sccs",
-              static_cast<int64_t>(R.CouvreurSccs));
-    Stats.add("difference.couvreur_cutoffs",
-              static_cast<int64_t>(R.CouvreurCutoffs));
-  }
   TraceOutcome(CompKind, &R, false);
   return std::move(R.D);
 }
@@ -493,8 +483,6 @@ AnalysisResult TerminationAnalyzer::run() {
     DiffOpts.ShouldAbort = BudgetHook;
     DiffOpts.MaxProductStates = Opts.MaxProductStates;
     DiffOpts.Guard = Opts.Guard;
-    DiffOpts.Emptiness = Opts.Emptiness;
-    DiffOpts.Tracer = Opts.Tracer;
     return DiffOpts;
   };
   // Cross-run module cache (DESIGN.md section 16). Warm start: replay
@@ -743,16 +731,6 @@ AnalysisResult TerminationAnalyzer::run() {
   Result.Stats.add("perf.modular_cheap_components",
                    static_cast<int64_t>(PerfEnd.ModularCheapComponents -
                                         PerfStart.ModularCheapComponents));
-  Result.Stats.add("perf.couvreur_sccs",
-                   static_cast<int64_t>(PerfEnd.CouvreurSccs -
-                                        PerfStart.CouvreurSccs));
-  Result.Stats.add("perf.couvreur_cutoffs",
-                   static_cast<int64_t>(PerfEnd.CouvreurCutoffs -
-                                        PerfStart.CouvreurCutoffs));
-  // The configured engine as a namespaced count-1 counter (the same idiom
-  // as complement.*), so the run report names it without a string slot.
-  Result.Stats.add(std::string("perf.emptiness_engine.") +
-                   emptinessStrategyName(Opts.Emptiness));
   if (Opts.Cache) {
     Result.Stats.add("perf.cache_hits",
                      static_cast<int64_t>(CacheStats.Hits));

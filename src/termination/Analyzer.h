@@ -25,7 +25,6 @@
 #ifndef TERMCHECK_TERMINATION_ANALYZER_H
 #define TERMCHECK_TERMINATION_ANALYZER_H
 
-#include "automata/Emptiness.h"
 #include "automata/Ncsb.h"
 #include "automata/Scc.h"
 #include "nontermination/RecurrenceProver.h"
@@ -75,12 +74,6 @@ struct AnalyzerOptions {
   NcsbVariant Ncsb = NcsbVariant::Lazy;
   /// Module complementation strategy (see ComplementStrategy).
   ComplementStrategy Complement = ComplementStrategy::Auto;
-  /// Which emptiness engine the difference construction runs (the
-  /// --emptiness CLI axis; see EmptinessStrategy). Auto keeps Algorithm 1
-  /// for materializing subtractions and uses the Couvreur engine for
-  /// emptiness-only queries; Couvreur forces the on-stack-cutoff engine to
-  /// answer emptiness first on every subtraction.
-  EmptinessStrategy Emptiness = EmptinessStrategy::Auto;
   /// Subsumption antichain in the difference construction (Section 6).
   bool UseSubsumption = true;
   /// Wall-clock budget in seconds (0 = unlimited).

@@ -26,7 +26,6 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
     bool Sub;
     bool NontermBiased;
     bool Modular = false;
-    bool Couvreur = false;
   };
   // Diversity-first order: entry 0 is the library default; every short
   // prefix already spans all three axes, so --portfolio 4 races genuinely
@@ -72,14 +71,6 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
        true, false, true},
       {"nonterm-modular-deep", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, true, true, true},
-      // The Couvreur entrants (also tail-appended) race the on-stack-cutoff
-      // emptiness engine head-to-head against the Gaiser-Schwoon entrants
-      // above: entry 16 mirrors entry 0 with only the engine flipped, and
-      // entry 17 pairs it with the modular complement.
-      {"seq_i-couvreur-sub", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Lazy, true, false, false, true},
-      {"seq_iii-couvreur-modular", AnalyzerOptions::sequenceAll,
-       NcsbVariant::Lazy, true, false, true, true},
   };
   constexpr size_t RosterSize = sizeof(Roster) / sizeof(Roster[0]);
   if (K == 0)
@@ -97,8 +88,6 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
     C.Opts.UseSubsumption = Roster[I].Sub;
     if (Roster[I].Modular)
       C.Opts.Complement = ComplementStrategy::Modular;
-    if (Roster[I].Couvreur)
-      C.Opts.Emptiness = EmptinessStrategy::Couvreur;
     if (Roster[I].NontermBiased) {
       C.Opts.Nonterm.MaxCegisRounds = 16;
       C.Opts.Nonterm.MaxWitnessTrials = 32;

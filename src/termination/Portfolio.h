@@ -45,14 +45,12 @@ struct PortfolioConfig {
 
 /// The deterministic default roster: the Section 7 evaluation axes (stage
 /// sequence i/ii/iii x NCSB lazy/original x subsumption on/off), two
-/// nonterm-biased entrants with enlarged recurrence-prover budgets, two
-/// entrants running the modular (mix-and-match) complement strategy, and
-/// two entrants racing the Couvreur emptiness engine against the
-/// Gaiser-Schwoon default, ordered so small prefixes are diverse -- entry
-/// 0 is the library default configuration, and each following entry flips
-/// at least one axis of an earlier one. The modular and Couvreur entrants
-/// sit at the tail, so every prefix of the historical 14-entry roster is
-/// unchanged. \p K is clamped to [1, 18].
+/// nonterm-biased entrants with enlarged recurrence-prover budgets, and two
+/// entrants running the modular (mix-and-match) complement strategy,
+/// ordered so small prefixes are diverse -- entry 0 is the library default
+/// configuration, and each following entry flips at least one axis of an
+/// earlier one. The modular entrants sit at the tail, so every prefix of
+/// the historical 14-entry roster is unchanged. \p K is clamped to [1, 16].
 std::vector<PortfolioConfig> defaultPortfolio(size_t K);
 
 /// Portfolio-level knobs (per-configuration knobs live in the roster).

@@ -1,56 +1,40 @@
-//===- tests/emptiness_equivalence_test.cpp - Engine differential gate ----===//
+//===- tests/emptiness_equivalence_test.cpp - Emptiness vs naive oracle ---===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The differential gate for the pluggable emptiness engines (DESIGN.md
-/// section 17):
+/// The differential gate for the one emptiness engine, Algorithm 1
+/// (UselessStateRemover), against the naive oracle of NaiveEmptiness.h:
 ///
-///  * 200+ seeded product differentials: Gaiser-Schwoon and Couvreur must
-///    agree on every emptiness-only difference, and every witness an engine
-///    returns must be a word of L(A) \ L(B) replayed against the originals,
-///  * randomized explicit queries: checkEmptiness under every strategy vs
-///    the reference isEmpty(), witnesses replayed,
-///  * cutoff-soundness units on the deep-SCC family: the structural
-///    subsumption oracle drives the on-stack and closed-state cutoffs and
-///    must never change a verdict, only shrink the explored set,
-///  * the 18-entry roster (Couvreur entrants included) stays a byte-
-///    deterministic sequential fallback under Jobs == 1,
-///  * chaos: seeds that arm FaultSite::EmptinessStep may only ever weaken
-///    verdicts, never flip them.
+///  * 220 seeded (A, NCSB-Lazy(B)) products: difference() emptiness-only
+///    and materialized, each with subsumption on and off, must agree with
+///    the oracle on intersect(A, materialize(NCSB(B))); a materialized
+///    difference has states iff it is nonempty, and its lasso is a word of
+///    L(A) \ L(B) replayed against the originals,
+///  * isIncludedIn on the same corpus,
+///  * isEmpty on explicit GBAs: hand-built shapes, random BAs, and
+///    2-condition GBAs before and after degeneralize; every lasso
+///    findAcceptingLasso returns must be accepted.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "automata/Emptiness.h"
+#include "NaiveEmptiness.h"
 
 #include "automata/Difference.h"
 #include "automata/Ncsb.h"
+#include "automata/Ops.h"
 #include "benchgen/RandomAutomata.h"
-#include "program/Parser.h"
-#include "support/Error.h"
-#include "support/FaultInjector.h"
-#include "termination/Portfolio.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 
 using namespace termcheck;
 
 namespace {
 
-#ifndef TERMCHECK_CORPUS_DIR
-#error "build must define TERMCHECK_CORPUS_DIR"
-#endif
-
 /// One seeded (A, B) product-differential instance: A is a random
 /// nondeterministic BA, B a prepared SDBA complemented on the fly through
-/// NCSB; the difference L(A) \ L(B) is decided under both engines.
+/// NCSB-Lazy.
 struct ProductInstance {
   Buchi A;
   Buchi B;
@@ -76,244 +60,156 @@ std::vector<ProductInstance> productCorpus(size_t Count, uint64_t Seed) {
   return Out;
 }
 
+/// The oracle's answer for L(A) \ L(B): emptiness of A times the eagerly
+/// materialized NCSB-Lazy complement of B.
+bool oracleDifferenceEmpty(const ProductInstance &Inst) {
+  NcsbOracle O(Inst.Prepared, NcsbVariant::Lazy);
+  return naiveIsEmpty(intersect(Inst.A, O.materialize()));
+}
+
 DifferenceResult runDifference(const ProductInstance &Inst,
-                               EmptinessStrategy S, bool WantWitness) {
+                               bool EmptinessOnly, bool UseSubsumption) {
   NcsbOracle O(Inst.Prepared, NcsbVariant::Lazy);
   DifferenceOptions DO;
-  DO.Emptiness = S;
-  DO.EmptinessOnly = true;
-  DO.WantWitness = WantWitness;
+  DO.EmptinessOnly = EmptinessOnly;
+  DO.UseSubsumption = UseSubsumption;
   return difference(Inst.A, O, DO);
+}
+
+/// isEmpty and findAcceptingLasso against the oracle on an explicit GBA.
+/// \returns the oracle's answer.
+bool expectAgreesWithOracle(const Buchi &A, const std::string &What) {
+  const bool Ref = naiveIsEmpty(A);
+  EXPECT_EQ(isEmpty(A), Ref) << What << "\n" << A.str();
+  std::optional<LassoWord> W = findAcceptingLasso(A);
+  EXPECT_EQ(W.has_value(), !Ref) << What << "\n" << A.str();
+  if (W) {
+    EXPECT_TRUE(acceptsLasso(A, *W)) << What << ": rejected lasso "
+                                     << W->str() << "\n" << A.str();
+  }
+  return Ref;
 }
 
 } // namespace
 
-TEST(EmptinessEquivalence, ProductDifferentialsAgreeAcrossEngines) {
-  // The headline differential: 220 seeded products, both engines, zero
-  // disagreements tolerated, every nonempty verdict backed by a replayable
-  // witness word in L(A) \ L(B).
+TEST(EmptinessEquivalence, ProductDifferentialsMatchOracle) {
   std::vector<ProductInstance> Corpus = productCorpus(220, 0xD1FF0001);
-  size_t Nonempty = 0, Witnessed = 0;
+  size_t Nonempty = 0;
   for (size_t I = 0; I < Corpus.size(); ++I) {
-    DifferenceResult G =
-        runDifference(Corpus[I], EmptinessStrategy::GaiserSchwoon, false);
-    DifferenceResult C =
-        runDifference(Corpus[I], EmptinessStrategy::Couvreur, true);
-    ASSERT_FALSE(G.Aborted) << "instance " << I;
-    ASSERT_FALSE(C.Aborted) << "instance " << I;
-    EXPECT_EQ(G.IsEmpty, C.IsEmpty)
-        << "instance " << I << ": gaiser_schwoon says "
-        << (G.IsEmpty ? "empty" : "nonempty") << ", couvreur disagrees";
-    EXPECT_STREQ(C.EmptinessEngine, "couvreur") << "instance " << I;
-    if (!C.IsEmpty) {
+    const bool Ref = oracleDifferenceEmpty(Corpus[I]);
+    if (!Ref)
       ++Nonempty;
-      ASSERT_TRUE(C.Witness.has_value()) << "instance " << I;
-      EXPECT_TRUE(acceptsLasso(Corpus[I].A, *C.Witness))
-          << "instance " << I << ": witness not in L(A)";
-      EXPECT_FALSE(acceptsLasso(Corpus[I].B, *C.Witness))
-          << "instance " << I << ": witness in L(B)";
-      ++Witnessed;
+    for (bool Sub : {true, false}) {
+      const std::string Where = "instance " + std::to_string(I) +
+                                (Sub ? " (subsumption)" : " (exact emp)");
+      DifferenceResult Only = runDifference(Corpus[I], true, Sub);
+      ASSERT_FALSE(Only.Aborted) << Where;
+      EXPECT_EQ(Only.IsEmpty, Ref) << Where << ", emptiness-only";
+      EXPECT_EQ(Only.D.numStates(), 0u) << Where << ", emptiness-only";
+
+      DifferenceResult Full = runDifference(Corpus[I], false, Sub);
+      ASSERT_FALSE(Full.Aborted) << Where;
+      EXPECT_EQ(Full.IsEmpty, Ref) << Where << ", materialized";
+      EXPECT_EQ(Full.D.numStates() == 0, Full.IsEmpty) << Where;
+      if (std::optional<LassoWord> W = findAcceptingLasso(Full.D)) {
+        EXPECT_TRUE(acceptsLasso(Corpus[I].A, *W))
+            << Where << ": difference word not in L(A)";
+        EXPECT_FALSE(acceptsLasso(Corpus[I].B, *W))
+            << Where << ": difference word in L(B)";
+      }
     }
   }
   // The sweep must exercise both outcomes, or the agreement checks above
   // are vacuous.
   EXPECT_GT(Nonempty, 20u) << "corpus skewed all-empty";
   EXPECT_LT(Nonempty, Corpus.size()) << "corpus skewed all-nonempty";
-  EXPECT_EQ(Witnessed, Nonempty);
 }
 
-TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
-  // checkEmptiness on explicit automata vs the reference decision
-  // procedure, all three strategies, witnesses replayed.
-  Rng R(0xD1FF0002);
+TEST(EmptinessEquivalence, InclusionMatchesOracle) {
+  std::vector<ProductInstance> Corpus = productCorpus(220, 0xD1FF0001);
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    std::optional<bool> Included = isIncludedIn(Corpus[I].A, Corpus[I].B);
+    ASSERT_TRUE(Included.has_value()) << "instance " << I;
+    EXPECT_EQ(*Included, oracleDifferenceEmpty(Corpus[I]))
+        << "instance " << I;
+  }
+}
+
+TEST(EmptinessEquivalence, HandBuiltShapesMatchOracle) {
+  Buchi NoStates(1, 1);
+  EXPECT_TRUE(expectAgreesWithOracle(NoStates, "no states"));
+
+  Buchi SelfLoop(1, 1);
+  State S = SelfLoop.addState();
+  SelfLoop.addInitial(S);
+  SelfLoop.setAccepting(S);
+  SelfLoop.addTransition(S, 0, S);
+  EXPECT_FALSE(expectAgreesWithOracle(SelfLoop, "accepting self-loop"));
+
+  Buchi PlainCycle(1, 1);
+  PlainCycle.addStates(2);
+  PlainCycle.addInitial(0);
+  PlainCycle.addTransition(0, 0, 1);
+  PlainCycle.addTransition(1, 0, 0);
+  EXPECT_TRUE(expectAgreesWithOracle(PlainCycle, "non-accepting cycle"));
+
+  // Accepting state reachable but on no cycle.
+  Buchi OffCycle(1, 1);
+  OffCycle.addStates(3);
+  OffCycle.addInitial(0);
+  OffCycle.setAccepting(1);
+  OffCycle.addTransition(0, 0, 1);
+  OffCycle.addTransition(1, 0, 2);
+  OffCycle.addTransition(2, 0, 2);
+  EXPECT_TRUE(expectAgreesWithOracle(OffCycle, "accepting state off cycle"));
+
+  // The accepting cycle closes into the DFS root, above the accepting
+  // state that completes it.
+  Buchi ClosesAbove(1, 1);
+  ClosesAbove.addStates(3);
+  ClosesAbove.addInitial(0);
+  ClosesAbove.setAccepting(2);
+  ClosesAbove.addTransition(0, 0, 1);
+  ClosesAbove.addTransition(1, 0, 2);
+  ClosesAbove.addTransition(2, 0, 0);
+  EXPECT_FALSE(expectAgreesWithOracle(ClosesAbove, "cycle closes above"));
+}
+
+TEST(EmptinessEquivalence, RandomBasMatchOracle) {
+  Rng R(909);
   size_t Nonempty = 0;
-  for (int I = 0; I < 100; ++I) {
+  for (int Iter = 0; Iter < 200; ++Iter) {
     RandomAutomatonSpec Spec;
-    Spec.NumStates = 3 + static_cast<uint32_t>(R.below(10));
-    Spec.AcceptPercent = 10 + static_cast<uint32_t>(R.below(50));
+    Spec.NumStates = 2 + static_cast<uint32_t>(R.below(10));
+    Spec.NumSymbols = 1 + static_cast<uint32_t>(R.below(3));
+    Spec.AcceptPercent = 20;
     Buchi A = randomBa(R, Spec);
-    bool Ref = isEmpty(A);
-    for (EmptinessStrategy S :
-         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur,
-          EmptinessStrategy::Auto}) {
-      EmptinessOptions EO;
-      EO.FindWitness = true;
-      EmptinessResult Res = checkEmptiness(A, S, EO);
-      ASSERT_FALSE(Res.Aborted);
-      EXPECT_EQ(Res.IsEmpty, Ref)
-          << "instance " << I << " under " << emptinessStrategyName(S);
-      if (!Res.IsEmpty) {
-        ASSERT_TRUE(Res.Witness.has_value())
-            << "instance " << I << " under " << emptinessStrategyName(S);
-        EXPECT_TRUE(acceptsLasso(A, *Res.Witness))
-            << "instance " << I << " under " << emptinessStrategyName(S);
-      }
-    }
-    if (!Ref)
+    if (!expectAgreesWithOracle(A, "random BA " + std::to_string(Iter)))
       ++Nonempty;
   }
   EXPECT_GT(Nonempty, 10u);
-  EXPECT_LT(Nonempty, 100u);
+  EXPECT_LT(Nonempty, 190u);
 }
 
-TEST(EmptinessEquivalence, CutoffsAreSoundOnDeepSccFamily) {
-  // The deep-SCC family ships its own structural subsumption witness
-  // (EchoOf): an early direct simulation by construction. Driving both
-  // cutoffs with it must preserve every verdict while strictly shrinking
-  // the explored set on this corridor-heavy shape.
-  Rng R(0xD1FF0003);
-  size_t TotalCutoffs = 0;
-  for (int I = 0; I < 24; ++I) {
-    DeepSccSpec Spec;
-    Spec.Blocks = 3 + static_cast<uint32_t>(R.below(6));
-    Spec.BlockStates = 2 + static_cast<uint32_t>(R.below(4));
-    Spec.EchoesPerBlock = 1 + static_cast<uint32_t>(R.below(3));
-    Spec.EchoLength = 4 + static_cast<uint32_t>(R.below(12));
-    Spec.Nonempty = (I % 2) == 1;
-    std::vector<State> EchoOf;
-    Buchi A = randomDeepSccBa(R, Spec, &EchoOf);
-
-    // checkEmptiness computes a full direct simulation when no relation is
-    // supplied, so a genuinely cutoff-free baseline needs an explicit
-    // equality-only (pure reflexive) relation.
-    EmptinessOptions Plain;
-    Plain.SubsumedBy = [](State Sub, State Sup) { return Sub == Sup; };
-    Plain.FindWitness = true;
-    EmptinessResult NoCutoff =
-        checkEmptiness(A, EmptinessStrategy::Couvreur, Plain);
-
-    EmptinessOptions WithOracle;
-    WithOracle.SubsumedBy = [&EchoOf](State Sub, State Sup) {
-      return Sub == Sup || EchoOf[Sub] == Sup;
-    };
-    WithOracle.SubsumptionIsEarly = true;
-    WithOracle.FindWitness = true;
-    EmptinessResult Cut =
-        checkEmptiness(A, EmptinessStrategy::Couvreur, WithOracle);
-
-    bool Ref = isEmpty(A);
-    EXPECT_EQ(Ref, !Spec.Nonempty) << "instance " << I;
-    EXPECT_EQ(NoCutoff.IsEmpty, Ref) << "instance " << I;
-    EXPECT_EQ(Cut.IsEmpty, Ref)
-        << "instance " << I << ": cutoffs changed the verdict";
-    // A merge can invalidate a provisional on-stack prune and restart the
-    // search without it; the cumulative explored count then legitimately
-    // exceeds the cutoff-free run's, so only restart-free runs must shrink.
-    if (Cut.CutoffRestarts == 0)
-      EXPECT_LE(Cut.StatesExplored, NoCutoff.StatesExplored)
-          << "instance " << I << ": cutoffs grew the explored set";
-    if (!Cut.IsEmpty) {
-      ASSERT_TRUE(Cut.Witness.has_value()) << "instance " << I;
-      EXPECT_TRUE(acceptsLasso(A, *Cut.Witness)) << "instance " << I;
+TEST(EmptinessEquivalence, GeneralizedAndDegeneralizedMatchOracle) {
+  Rng R(911);
+  for (int Iter = 0; Iter < 40; ++Iter) {
+    // Random 2-condition GBA, checked before and after degeneralization.
+    Buchi G(2, 2);
+    uint32_t N = 3 + static_cast<uint32_t>(R.below(4));
+    G.addStates(N);
+    G.addInitial(0);
+    for (State S = 0; S < N; ++S) {
+      if (R.chance(1, 3))
+        G.setAccepting(S, 0);
+      if (R.chance(1, 3))
+        G.setAccepting(S, 1);
+      for (Symbol Sym = 0; Sym < 2; ++Sym)
+        G.addTransition(S, Sym, static_cast<State>(R.below(N)));
     }
-    TotalCutoffs += Cut.OnStackCutoffs + Cut.ClosedCutoffs;
+    const std::string What = "GBA " + std::to_string(Iter);
+    bool Ref = expectAgreesWithOracle(G, What);
+    EXPECT_EQ(expectAgreesWithOracle(degeneralize(G), What + " degeneralized"),
+              Ref);
   }
-  // The family exists to feed the cutoffs; if they never fire the "sound"
-  // claim above is vacuous.
-  EXPECT_GT(TotalCutoffs, 0u);
-}
-
-namespace {
-
-std::vector<std::pair<std::string, Program>> loadCorpusPrograms() {
-  std::vector<std::pair<std::string, Program>> Out;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(TERMCHECK_CORPUS_DIR)) {
-    if (Entry.path().extension() != ".while")
-      continue;
-    std::ifstream In(Entry.path());
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ParseResult R = parseProgram(Buf.str());
-    if (!R.ok())
-      ADD_FAILURE() << Entry.path() << ": " << R.Error;
-    else
-      Out.emplace_back(Entry.path().stem().string(), std::move(*R.Prog));
-  }
-  std::sort(Out.begin(), Out.end(), [](const auto &A, const auto &B) {
-    return A.first < B.first;
-  });
-  return Out;
-}
-
-} // namespace
-
-TEST(EmptinessEquivalence, FullRosterIsDeterministicSequentially) {
-  // The 18-entry roster includes the two Couvreur entrants; under Jobs == 1
-  // the runner must stay a byte-deterministic sequential fallback with them
-  // aboard (the engine's counters feed the statistics dump, so any
-  // nondeterminism in the search order would show up here).
-  std::vector<std::pair<std::string, Program>> Corpus = loadCorpusPrograms();
-  ASSERT_GE(Corpus.size(), 6u);
-  std::vector<PortfolioConfig> Configs = defaultPortfolio(18);
-  ASSERT_EQ(Configs.size(), 18u);
-  // A subset keeps the test inside its budget; the portfolio suite already
-  // sweeps the whole corpus with the shorter roster.
-  for (size_t I = 0; I < Corpus.size(); I += 3) {
-    PortfolioOptions PO;
-    PO.Jobs = 1;
-    PO.TimeoutSeconds = 30;
-    PortfolioRunResult First = runPortfolio(Corpus[I].second, Configs, PO);
-    PortfolioRunResult Second = runPortfolio(Corpus[I].second, Configs, PO);
-    EXPECT_EQ(First.Result.V, Second.Result.V) << Corpus[I].first;
-    EXPECT_EQ(First.WinnerIndex, Second.WinnerIndex) << Corpus[I].first;
-    EXPECT_EQ(First.Merged.str(), Second.Merged.str())
-        << Corpus[I].first << ": statistics dump must be byte-identical";
-  }
-}
-
-TEST(EmptinessEquivalence, EmptinessFaultsOnlyWeakenVerdicts) {
-  // Chaos for the new fault site: every seed whose plan arms
-  // FaultSite::EmptinessStep runs the analyzer with the Couvreur engine
-  // forced on; a contained fault may cost the verdict, never flip it.
-  std::map<std::string, Verdict> Expected;
-  {
-    std::ifstream In(std::string(TERMCHECK_CORPUS_DIR) +
-                     "/EXPECTATIONS.txt");
-    ASSERT_TRUE(In.good()) << "missing EXPECTATIONS.txt";
-    std::string Name, V;
-    while (In >> Name >> V) {
-      if (!Name.empty() && Name[0] == '#') {
-        std::string Rest;
-        std::getline(In, Rest);
-        continue;
-      }
-      Expected[Name] = V == "NONTERMINATING" ? Verdict::Nonterminating
-                                             : Verdict::Terminating;
-    }
-  }
-  std::vector<std::pair<std::string, Program>> Corpus = loadCorpusPrograms();
-  ASSERT_FALSE(Corpus.empty());
-
-  size_t Armed = 0, Fired = 0;
-  for (uint64_t Seed = 1; Seed <= 160 && Armed < 24; ++Seed) {
-    FaultInjector::arm(Seed);
-    bool Hits = FaultInjector::plannedTrigger(FaultSite::EmptinessStep) != 0;
-    FaultInjector::disarm();
-    if (!Hits)
-      continue;
-    ++Armed;
-    auto &[Name, Prog] = Corpus[Seed % Corpus.size()];
-    auto It = Expected.find(Prog.name());
-    if (It == Expected.end())
-      continue;
-
-    AnalyzerOptions Opts;
-    Opts.TimeoutSeconds = 5;
-    Opts.Emptiness = EmptinessStrategy::Couvreur;
-    FaultInjector::arm(Seed);
-    Program Local = Prog;
-    TerminationAnalyzer A(Local, Opts);
-    ErrorOr<AnalysisResult> R = errorOrOf([&A] { return A.run(); });
-    if (FaultInjector::firedCount() != 0)
-      ++Fired;
-    FaultInjector::disarm();
-    if (!R.ok())
-      continue; // captured at the boundary: contained, just inconclusive
-    if (isConclusive(R.value().V))
-      EXPECT_EQ(R.value().V, It->second)
-          << Name << " flipped verdict under fault seed " << Seed;
-  }
-  EXPECT_GT(Armed, 0u) << "no seed armed EmptinessStep; plan derivation stale?";
-  EXPECT_GT(Fired, 0u) << "armed faults never fired; site unreachable?";
 }

@@ -126,10 +126,32 @@ TEST(Portfolio, SequentialFallbackIsDeterministic) {
   }
 }
 
+TEST(Portfolio, FullRosterIsDeterministicSequentially) {
+  // The whole 16-entry roster under Jobs == 1 stays a byte-deterministic
+  // sequential fallback. A subset of the corpus keeps the test inside its
+  // budget; SequentialFallbackIsDeterministic sweeps every program with
+  // the shorter roster.
+  std::vector<CorpusEntry> Corpus = loadCorpus();
+  ASSERT_GE(Corpus.size(), 6u);
+  std::vector<PortfolioConfig> Configs = defaultPortfolio(16);
+  ASSERT_EQ(Configs.size(), 16u);
+  for (size_t I = 0; I < Corpus.size(); I += 3) {
+    PortfolioOptions PO;
+    PO.Jobs = 1;
+    PO.TimeoutSeconds = 30;
+    PortfolioRunResult First = runPortfolio(Corpus[I].Prog, Configs, PO);
+    PortfolioRunResult Second = runPortfolio(Corpus[I].Prog, Configs, PO);
+    EXPECT_EQ(First.Result.V, Second.Result.V) << Corpus[I].Name;
+    EXPECT_EQ(First.WinnerIndex, Second.WinnerIndex) << Corpus[I].Name;
+    EXPECT_EQ(First.Merged.str(), Second.Merged.str())
+        << Corpus[I].Name << ": statistics dump must be byte-identical";
+  }
+}
+
 TEST(Portfolio, RosterIsDiverseAndClamped) {
   EXPECT_EQ(defaultPortfolio(0).size(), 1u);
-  EXPECT_EQ(defaultPortfolio(100).size(), 18u);
-  std::vector<PortfolioConfig> Configs = defaultPortfolio(18);
+  EXPECT_EQ(defaultPortfolio(100).size(), 16u);
+  std::vector<PortfolioConfig> Configs = defaultPortfolio(16);
   for (size_t I = 0; I < Configs.size(); ++I)
     for (size_t J = I + 1; J < Configs.size(); ++J)
       EXPECT_NE(Configs[I].Name, Configs[J].Name);
@@ -149,10 +171,9 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
   EXPECT_EQ(Biased, 3u);
   EXPECT_GT(defaultPortfolio(4).back().Opts.Nonterm.MaxUnroll,
             DefaultNonterm.MaxUnroll);
-  // The modular and Couvreur entrants ride at the tail so historical
-  // prefixes are unchanged: every pre-existing slot races the Auto
-  // complement strategy, slots 14-15 race the mix-and-match modular
-  // complement, and slots 16-17 race the Couvreur emptiness engine.
+  // The modular entrants ride at the tail so historical prefixes are
+  // unchanged: every pre-existing slot races the Auto complement strategy,
+  // and slots 14-15 race the mix-and-match modular complement.
   for (size_t I = 0; I < 14; ++I)
     EXPECT_EQ(Configs[I].Opts.Complement, ComplementStrategy::Auto)
         << Configs[I].Name;
@@ -162,21 +183,6 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
     EXPECT_NE(Configs[I].Name.find("modular"), std::string::npos)
         << Configs[I].Name;
   }
-  for (size_t I = 0; I < 16; ++I)
-    EXPECT_EQ(Configs[I].Opts.Emptiness, EmptinessStrategy::Auto)
-        << Configs[I].Name;
-  for (size_t I = 16; I < 18; ++I) {
-    EXPECT_EQ(Configs[I].Opts.Emptiness, EmptinessStrategy::Couvreur)
-        << Configs[I].Name;
-    EXPECT_NE(Configs[I].Name.find("couvreur"), std::string::npos)
-        << Configs[I].Name;
-  }
-  // Entry 16 is entry 0 with only the emptiness engine flipped -- the
-  // head-to-head race the bench harness mirrors offline.
-  EXPECT_EQ(Configs[16].Opts.Sequence, Configs[0].Opts.Sequence);
-  EXPECT_EQ(Configs[16].Opts.Ncsb, Configs[0].Opts.Ncsb);
-  EXPECT_EQ(Configs[16].Opts.UseSubsumption, Configs[0].Opts.UseSubsumption);
-  EXPECT_EQ(Configs[16].Opts.Complement, ComplementStrategy::Auto);
 }
 
 TEST(Portfolio, ModularEntrantsAreDeterministicWithCounters) {

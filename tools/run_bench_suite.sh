@@ -44,9 +44,7 @@ PORTFOLIO="$BUILD/bench/bench_portfolio"
 MODULAR="$BUILD/bench/bench_modular_complement"
 SERVER="$BUILD/bench/bench_server_throughput"
 MODCACHE="$BUILD/bench/bench_module_cache"
-EMPTINESS="$BUILD/bench/bench_emptiness"
-for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$MODULAR" "$SERVER" "$MODCACHE" \
-           "$EMPTINESS"; do
+for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$MODULAR" "$SERVER" "$MODCACHE"; do
   [ -x "$BIN" ] || { echo "run_bench_suite.sh: $BIN not built" >&2; exit 4; }
 done
 
@@ -74,11 +72,6 @@ echo "== bench_module_cache (median of $REPEAT) =="
 # Nonzero exit = verdicts changed or the warm pass never hit the cache --
 # both are hard failures, not perf data points.
 "$MODCACHE" --repeat "$REPEAT" --json "$TMP/module_cache.json"
-
-echo "== bench_emptiness (median of $REPEAT) =="
-# Nonzero exit = the two emptiness engines disagreed on some instance or a
-# witness failed validation -- a correctness failure, not a perf data point.
-"$EMPTINESS" --repeat "$REPEAT" --json "$TMP/emptiness.json"
 
 echo "== bench_portfolio (median of $REPEAT) =="
 "$PORTFOLIO" --repeat "$REPEAT" --json "$TMP/portfolio.json" benchmarks || {
@@ -134,6 +127,11 @@ if baseline_path:
     base_benchmarks = (base_doc.get("micro_ncsb", base_doc))["benchmarks"]
     base = {b["name"]: b["real_time"] for b in base_benchmarks}
     base_total = sum(base.values())
+    # The total speedup compares like with like: benchmarks only one side
+    # ran (added or deleted since the baseline) stay out of both sums.
+    shared = [b for b in micro if b["name"] in base]
+    shared_base_ns = sum(base[b["name"]] for b in shared)
+    shared_ns = sum(b["real_time"] for b in shared)
     comparison = {}
     for b in micro:
         name, t = b["name"], b["real_time"]
@@ -152,7 +150,8 @@ if baseline_path:
         "total_wall_ns": base_total,
     }
     report["vs_baseline"] = {
-        "total_speedup": round(base_total / total_ns, 4) if total_ns else None,
+        "total_speedup": (round(shared_base_ns / shared_ns, 4)
+                          if shared_ns else None),
         "max_regress_gate": max_regress,
         "per_benchmark": comparison,
     }
@@ -167,15 +166,11 @@ with open(os.path.join(tmp, "server.json")) as f:
     report["server_throughput"] = json.load(f)
 with open(os.path.join(tmp, "module_cache.json")) as f:
     report["module_cache"] = json.load(f)
-with open(os.path.join(tmp, "emptiness.json")) as f:
-    report["emptiness"] = json.load(f)
 
 # The harness already fails hard on mismatches; re-assert here so a stale
 # or hand-edited section cannot slip through the merge.
 if report["module_cache"]["verdict_mismatches"] != 0:
     failures.append("module_cache: verdicts changed with the cache on")
-if report["emptiness"]["disagreements"] != 0:
-    failures.append("emptiness: engines disagreed on some instance")
 
 # The modular-complement wall joins the regression gate once a baseline
 # carries the section (older baselines predate the harness and skip it).
@@ -206,21 +201,6 @@ if baseline_path and "module_cache" in base_doc:
     if ratio < 1.0 - max_regress:
         failures.append(
             f"module_cache warm pass: {1/ratio:.3f}x slower than baseline")
-
-# The emptiness-engine wall joins the gate the same way: present in the
-# baseline -> compared, absent (pre-Couvreur baselines) -> skipped.
-if baseline_path and "emptiness" in base_doc:
-    base_ns = base_doc["emptiness"]["total_wall_ns"]
-    cur_ns = report["emptiness"]["total_wall_ns"]
-    ratio = base_ns / cur_ns if cur_ns > 0 else float("inf")
-    report["vs_baseline"]["emptiness"] = {
-        "baseline_ns": base_ns,
-        "current_ns": cur_ns,
-        "speedup": round(ratio, 4),
-    }
-    if ratio < 1.0 - max_regress:
-        failures.append(
-            f"emptiness: {1/ratio:.3f}x slower than baseline")
 
 # The batch-server wall joins the gate the same way: present in the
 # baseline -> compared, absent (pre-termcheckd baselines) -> skipped.

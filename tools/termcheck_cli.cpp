@@ -13,10 +13,8 @@
 ///     --sequence <i|ii|iii>  stage sequence of Section 7 (default i)
 ///     --ncsb <lazy|original> SDBA complementation variant (default lazy)
 ///     --complement <auto|modular> module complementation strategy
-///     --emptiness <auto|gaiser_schwoon|couvreur>
-///                         difference emptiness engine (default auto)
 ///     --no-subsumption    disable the Section 6 antichain
-///     --portfolio <K>     race the first K default configurations (1..18)
+///     --portfolio <K>     race the first K default configurations (1..16)
 ///     --jobs <N>          portfolio worker threads (default: all cores;
 ///                         1 = deterministic sequential fallback)
 ///     --no-nonterm        disable the nontermination prover
@@ -89,14 +87,9 @@ void usage(const char *Prog) {
       "                          module complementation strategy: 'modular'\n"
       "                          decomposes modules by accepting SCC and\n"
       "                          intersects per-class partial complements\n"
-      "  --emptiness <auto|gaiser_schwoon|couvreur>\n"
-      "                          difference emptiness engine: 'couvreur'\n"
-      "                          answers every subtraction with the\n"
-      "                          on-stack-cutoff Couvreur/Tarjan SCC search\n"
-      "                          before materializing (default auto)\n"
       "  --no-subsumption        disable the antichain optimization\n"
       "  --portfolio <K>         race the first K default configurations\n"
-      "                          (1..18) and report the first conclusive\n"
+      "                          (1..16) and report the first conclusive\n"
       "                          verdict; per-config statistics are merged\n"
       "  --jobs <N>              portfolio worker threads (default: all\n"
       "                          cores; 1 = deterministic sequential mode)\n"
@@ -209,11 +202,6 @@ int runMain(int Argc, char **Argv) {
         Opts.Complement = ComplementStrategy::Modular;
       else
         badValue("--complement", V, "'auto' or 'modular'");
-    } else if (std::strcmp(Arg, "--emptiness") == 0) {
-      const char *V = NeedsValue("--emptiness");
-      if (!emptinessStrategyFromName(V, Opts.Emptiness))
-        badValue("--emptiness", V,
-                 "'auto', 'gaiser_schwoon', or 'couvreur'");
     } else if (std::strcmp(Arg, "--no-subsumption") == 0) {
       Opts.UseSubsumption = false;
     } else if (std::strcmp(Arg, "--no-nonterm") == 0) {
