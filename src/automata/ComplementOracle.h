@@ -42,10 +42,8 @@ public:
   /// ShouldAbort. The default stride (256) is right for pure wall-clock /
   /// cancellation hooks; budget enforcement (state caps, resource guards)
   /// installs a small stride so small constructions cannot finish -- or
-  /// overshoot the budget -- entirely between polls. Virtual so composite
-  /// oracles (the modular combinator) can forward the stride to their
-  /// component oracles.
-  virtual void setPollStride(uint32_t Stride) {
+  /// overshoot the budget -- entirely between polls.
+  void setPollStride(uint32_t Stride) {
     PollStride = Stride == 0 ? 1 : Stride;
     AbortPollCountdown = PollStride;
   }
@@ -94,11 +92,6 @@ protected:
       Aborted = true;
     return Aborted;
   }
-
-  /// Latches \ref Aborted directly. Composite oracles use this to surface
-  /// a component oracle's truncation as their own: once any component cut
-  /// a successor list short, every tuple state derived from it is invalid.
-  void markAborted() { Aborted = true; }
 
 private:
   bool Aborted = false;

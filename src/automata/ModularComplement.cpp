@@ -1,4 +1,4 @@
-//===- automata/ModularComplement.cpp - Mix-and-match complement ----------===//
+//===- automata/ModularComplement.cpp - Co-reach-cut complement ----------===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
@@ -9,312 +9,164 @@
 #include "automata/DbaComplement.h"
 #include "automata/FiniteTraceComplement.h"
 #include "automata/Ops.h"
-#include "automata/PerfCounters.h"
-#include "automata/RankComplement.h"
-#include "support/FaultInjector.h"
-
-#include <algorithm>
+#include "automata/Scc.h"
 
 using namespace termcheck;
 
-const char *termcheck::modularEngineName(ModularEngine E) {
-  switch (E) {
-  case ModularEngine::FiniteTrace:
-    return "finite_trace";
-  case ModularEngine::Dba:
-    return "dba";
-  case ModularEngine::Ncsb:
-    return "ncsb";
-  case ModularEngine::Rank:
-    return "rank";
+namespace {
+
+/// \returns per state whether it lies in an accepting SCC: a reachable,
+/// nontrivial SCC (some internal arc, so a run can stay forever) holding
+/// an accepting state.
+std::vector<uint8_t> acceptingSccStates(const Buchi &A,
+                                        const SccDecomposition &D) {
+  std::vector<uint8_t> Nontrivial(D.NumComps, 0), Accepting(D.NumComps, 0);
+  for (State S = 0; S < A.numStates(); ++S) {
+    const int32_t C = D.CompOf[S];
+    if (C < 0)
+      continue;
+    Accepting[C] |= A.acceptMask(S) != 0;
+    for (const Buchi::Arc &Arc : A.arcsFrom(S))
+      Nontrivial[C] |= D.CompOf[Arc.To] == C;
   }
-  return "?";
-}
-
-//===----------------------------------------------------------------------===//
-// The synchronized product
-//===----------------------------------------------------------------------===//
-
-uint32_t ModularComplementOracle::advance(uint32_t Layer,
-                                          const std::vector<State> &Parts) {
-  const uint32_t K = static_cast<uint32_t>(Components.size());
-  uint32_t J = Layer >= K ? 0 : Layer;
-  while (J < K && Components[J]->Oracle->isAccepting(Parts[J]))
-    ++J;
-  return J;
-}
-
-std::vector<State> ModularComplementOracle::initialStates() {
-  const size_t K = Components.size();
-  SuccLists.resize(K);
-  for (size_t J = 0; J < K; ++J) {
-    SuccLists[J] = Components[J]->Oracle->initialStates();
-    // A component without initial macro-states has an empty complement
-    // language (its module accepts everything), so the product is empty.
-    if (SuccLists[J].empty())
-      return {};
-  }
-
-  std::vector<State> Out;
-  Odometer.assign(K, 0);
-  Scratch.Parts.resize(K);
-  bool More = true;
-  while (More) {
-    for (size_t J = 0; J < K; ++J)
-      Scratch.Parts[J] = SuccLists[J][Odometer[J]];
-    Scratch.Layer = advance(static_cast<uint32_t>(K), Scratch.Parts);
-    Out.push_back(Tuples.internRef(Scratch));
-    More = false;
-    for (size_t J = K; J-- > 0;) {
-      if (++Odometer[J] < SuccLists[J].size()) {
-        More = true;
-        break;
-      }
-      Odometer[J] = 0;
-    }
+  std::vector<uint8_t> Out(A.numStates(), 0);
+  for (State S = 0; S < A.numStates(); ++S) {
+    const int32_t C = D.CompOf[S];
+    Out[S] = C >= 0 && Nontrivial[C] && Accepting[C];
   }
   return Out;
 }
 
-void ModularComplementOracle::successors(State S, Symbol Sym,
-                                         std::vector<State> &Out) {
-  FaultInjector::hit(FaultSite::ModularExpand);
-  if (pollAbort())
-    return;
-
-  const ModularMacroState &M = Tuples[S]; // arena reference: stable
-  const size_t K = Components.size();
-  SuccLists.resize(K);
-  for (size_t J = 0; J < K; ++J) {
-    SuccLists[J].clear();
-    Components[J]->Oracle->successors(M.Parts[J], Sym, SuccLists[J]);
-    if (Components[J]->Oracle->aborted()) {
-      // A truncated component successor list poisons every tuple built
-      // from it; surface the truncation as our own so the difference
-      // engine discards the whole construction.
-      markAborted();
-      return;
-    }
-    if (SuccLists[J].empty())
-      return; // the product run dies
-  }
-
-  Odometer.assign(K, 0);
-  Scratch.Parts.resize(K);
-  bool More = true;
-  while (More) {
-    if (pollAbort())
-      return;
-    for (size_t J = 0; J < K; ++J)
-      Scratch.Parts[J] = SuccLists[J][Odometer[J]];
-    Scratch.Layer = advance(M.Layer, Scratch.Parts);
-    Out.push_back(Tuples.internRef(Scratch));
-    More = false;
-    for (size_t J = K; J-- > 0;) {
-      if (++Odometer[J] < SuccLists[J].size()) {
-        More = true;
-        break;
+/// \returns true when every accepting SCC is inert-weak: closed (no arc
+/// leaves it), internally complete (a successor on every symbol), and
+/// without a cycle through non-accepting states. A run entering such an
+/// SCC accepts whatever the suffix, so its trapped language is
+/// Pref . Sigma^omega.
+bool allInertWeak(const Buchi &A, const SccDecomposition &D,
+                  const std::vector<uint8_t> &InScc) {
+  const State N = A.numStates();
+  constexpr State NoState = ~State(0);
+  std::vector<State> SeenFrom(A.numSymbols(), NoState);
+  for (State S = 0; S < N; ++S) {
+    if (!InScc[S])
+      continue;
+    uint32_t Symbols = 0;
+    for (const Buchi::Arc &Arc : A.arcsFrom(S)) {
+      if (D.CompOf[Arc.To] != D.CompOf[S])
+        return false; // not closed
+      if (SeenFrom[Arc.Sym] != S) {
+        SeenFrom[Arc.Sym] = S;
+        ++Symbols;
       }
-      Odometer[J] = 0;
     }
+    if (Symbols != A.numSymbols())
+      return false; // not complete
   }
+
+  // Kahn's algorithm over the non-accepting SCC states: every one of them
+  // peels off iff none lies on a cycle. Closedness keeps each arc inside
+  // its SCC, so no cycle spans two SCCs.
+  auto Rejecting = [&](State S) { return InScc[S] && A.acceptMask(S) == 0; };
+  std::vector<uint32_t> InDegree(N, 0);
+  size_t Left = 0;
+  for (State S = 0; S < N; ++S)
+    if (Rejecting(S)) {
+      ++Left;
+      for (const Buchi::Arc &Arc : A.arcsFrom(S))
+        InDegree[Arc.To] += Rejecting(Arc.To);
+    }
+  std::vector<State> Work;
+  for (State S = 0; S < N; ++S)
+    if (Rejecting(S) && InDegree[S] == 0)
+      Work.push_back(S);
+  while (!Work.empty()) {
+    State S = Work.back();
+    Work.pop_back();
+    --Left;
+    for (const Buchi::Arc &Arc : A.arcsFrom(S))
+      if (Rejecting(Arc.To) && --InDegree[Arc.To] == 0)
+        Work.push_back(Arc.To);
+  }
+  return Left == 0;
 }
 
-size_t ModularComplementOracle::numStatesDiscovered() const {
-  size_t N = Tuples.size();
-  for (const auto &C : Components)
-    N += C->Oracle->numStatesDiscovered();
-  return N;
-}
+} // namespace
 
-bool ModularComplementOracle::subsumedBy(State Sub, State Sup) const {
-  // L(tuple) = intersection of the component languages, whatever the
-  // counter layer, so component-wise subsumption implies tuple-language
-  // inclusion and the layer can be ignored.
-  const ModularMacroState &A = Tuples[Sub], &B = Tuples[Sup];
-  for (size_t J = 0; J < Components.size(); ++J)
-    if (!Components[J]->Oracle->subsumedBy(A.Parts[J], B.Parts[J]))
-      return false;
-  return true;
-}
-
-void ModularComplementOracle::setPollStride(uint32_t Stride) {
-  ComplementOracle::setPollStride(Stride);
-  for (auto &C : Components)
-    C->Oracle->setPollStride(Stride);
-}
-
-//===----------------------------------------------------------------------===//
-// The builder
-//===----------------------------------------------------------------------===//
-
-std::unique_ptr<ModularComplementOracle>
-termcheck::buildModularComplement(const Buchi &A,
-                                  const ModularBuildOptions &Opts) {
+std::unique_ptr<ModularComplement>
+termcheck::buildModularComplement(const Buchi &A, NcsbVariant Ncsb) {
   if (A.numConditions() != 1)
     return nullptr;
-
-  SccClassification Cls = classifySccs(A);
   const State N = A.numStates();
+  const SccDecomposition D = sccDecompose(A);
+  const std::vector<uint8_t> InScc = acceptingSccStates(A, D);
 
-  std::unique_ptr<ModularComplementOracle> Oracle(
-      new ModularComplementOracle(A.numSymbols()));
-
-  // Reverse adjacency for the co-reachability cuts.
+  // The cut: states from which an accepting state of an accepting SCC is
+  // still reachable. A run leaving the cut can never again be trapped in
+  // an accepting SCC, so dropping those states preserves the language.
   std::vector<std::vector<State>> Preds(N);
   for (State S = 0; S < N; ++S)
     for (const Buchi::Arc &Arc : A.arcsFrom(S))
       Preds[Arc.To].push_back(S);
-
-  // Builds one partial complement for the SCC group \p CompIds (all of
-  // class \p Class) and appends it to the oracle. \returns false when no
-  // engine fits the group (the caller then splits it); a group whose
-  // trapped language is empty is skipped and counts as success.
-  auto addComponent = [&](const std::vector<uint32_t> &CompIds,
-                          SccClass Class) -> bool {
-    auto InGroup = [&](State S) {
-      int32_t C = Cls.D.CompOf[S];
-      return C >= 0 && std::find(CompIds.begin(), CompIds.end(),
-                                 static_cast<uint32_t>(C)) != CompIds.end();
-    };
-
-    // Co-reach cut: states from which some accepting state of the group
-    // is still reachable. Runs that leave the cut can never be accepting
-    // runs trapped in the group, so dropping them preserves the trapped
-    // language -- and prunes everything downstream of the group's SCCs.
-    std::vector<uint8_t> IsTarget(N, 0), InCo(N, 0);
-    std::vector<State> Work;
-    for (State S = 0; S < N; ++S)
-      if (A.acceptMask(S) != 0 && InGroup(S)) {
-        IsTarget[S] = 1;
-        InCo[S] = 1;
-        Work.push_back(S);
-      }
-    while (!Work.empty()) {
-      State S = Work.back();
-      Work.pop_back();
-      for (State P : Preds[S])
-        if (!InCo[P]) {
-          InCo[P] = 1;
-          Work.push_back(P);
-        }
+  std::vector<uint8_t> IsTarget(N, 0), InCut(N, 0);
+  std::vector<State> Work;
+  for (State S = 0; S < N; ++S)
+    if (InScc[S] && A.acceptMask(S) != 0) {
+      IsTarget[S] = InCut[S] = 1;
+      Work.push_back(S);
     }
-
-    bool AnyInit = false;
-    for (State I : A.initials().elems())
-      AnyInit |= InCo[I] != 0;
-    if (!AnyInit)
-      return true; // trapped language empty: nothing to intersect with
-
-    constexpr State NoState = ~State(0);
-    std::vector<State> Map(N, NoState);
-    Buchi Partial(A.numSymbols(), 1);
-    State Universal = 0;
-
-    if (Class == SccClass::InertWeak) {
-      // Collapse the group's SCCs into one universal accepting state: the
-      // SCCs are closed, internally complete, and inherently weak, so any
-      // run entering one accepts whatever the suffix follows -- exactly
-      // the finite-trace shape Pref . Sigma^omega.
-      Universal = Partial.addState();
-      Partial.setAccepting(Universal);
-      for (Symbol Sym = 0; Sym < A.numSymbols(); ++Sym)
-        Partial.addTransition(Universal, Sym, Universal);
-      for (State S = 0; S < N; ++S)
-        if (InCo[S])
-          Map[S] = InGroup(S) ? Universal : Partial.addState();
-      for (State S = 0; S < N; ++S) {
-        if (!InCo[S] || InGroup(S))
-          continue;
-        for (const Buchi::Arc &Arc : A.arcsFrom(S))
-          if (InCo[Arc.To])
-            Partial.addTransition(Map[S], Arc.Sym, Map[Arc.To]);
+  while (!Work.empty()) {
+    State S = Work.back();
+    Work.pop_back();
+    for (State P : Preds[S])
+      if (!InCut[P]) {
+        InCut[P] = 1;
+        Work.push_back(P);
       }
-    } else {
-      for (State S = 0; S < N; ++S)
-        if (InCo[S])
-          Map[S] = Partial.addState();
-      for (State S = 0; S < N; ++S) {
-        if (!InCo[S])
-          continue;
-        if (IsTarget[S])
-          Partial.setAccepting(Map[S]);
-        for (const Buchi::Arc &Arc : A.arcsFrom(S))
-          if (InCo[Arc.To])
-            Partial.addTransition(Map[S], Arc.Sym, Map[Arc.To]);
-      }
-    }
-    for (State I : A.initials().elems())
-      if (InCo[I])
-        Partial.addInitial(Map[I]);
-
-    // Uniform engine resolution: finite-trace (inert-weak collapse only),
-    // then DBA, then NCSB, then rank. Deterministic groups always pass
-    // step 2 or 3; semideterministic single SCCs always pass step 3 (the
-    // co-reach cut leaves no nondeterministic state downstream of the
-    // SCC's accepting states).
-    auto P = std::make_unique<ModularComplementOracle::Part>(
-        std::move(Partial));
-    P->Class = Class;
-    if (Class == SccClass::InertWeak) {
-      P->Engine = ModularEngine::FiniteTrace;
-      P->Oracle =
-          std::make_unique<FiniteTraceComplementOracle>(P->Partial, Universal);
-    } else {
-      Buchi Complete = completeWithSink(P->Partial);
-      if (Complete.isDeterministic()) {
-        P->Engine = ModularEngine::Dba;
-        P->Partial = std::move(Complete);
-        P->Oracle = std::make_unique<DbaComplementOracle>(P->Partial);
-      } else if (auto Sd = prepareSdba(P->Partial)) {
-        P->Engine = ModularEngine::Ncsb;
-        P->Prepared.emplace(std::move(*Sd));
-        P->Oracle = std::make_unique<NcsbOracle>(*P->Prepared, Opts.Ncsb);
-      } else if (Complete.numStates() <= RankComplementOracle::MaxInputStates) {
-        P->Engine = ModularEngine::Rank;
-        P->Partial = std::move(Complete);
-        P->Oracle = std::make_unique<RankComplementOracle>(P->Partial);
-      } else {
-        return false;
-      }
-    }
-
-    // The component polls the product's hook dynamically: difference()
-    // installs ShouldAbort only after construction.
-    ModularComplementOracle *Self = Oracle.get();
-    P->Oracle->ShouldAbort = [Self] {
-      return Self->ShouldAbort && Self->ShouldAbort();
-    };
-    Oracle->Info.push_back({Class, P->Engine,
-                            P->Engine == ModularEngine::Ncsb
-                                ? P->Prepared->A.numStates()
-                                : P->Partial.numStates()});
-    Oracle->Components.push_back(std::move(P));
-    return true;
-  };
-
-  constexpr SccClass Order[] = {SccClass::InertWeak, SccClass::Deterministic,
-                                SccClass::Semideterministic,
-                                SccClass::General};
-  for (SccClass Class : Order) {
-    std::vector<uint32_t> Comps = Cls.componentsOf(Class);
-    if (Comps.empty())
-      continue;
-    if (addComponent(Comps, Class))
-      continue;
-    // The grouped automaton missed the engine precondition (addComponent
-    // appends nothing in that case); retry one SCC at a time.
-    if (Comps.size() == 1)
-      return nullptr;
-    for (uint32_t One : Comps)
-      if (!addComponent({One}, Class))
-        return nullptr;
   }
 
-  perf::Counters &PC = perf::local();
-  ++PC.ModularBuilds;
-  PC.ModularComponents += Oracle->Components.size();
-  for (const ModularComponentInfo &I : Oracle->Info)
-    PC.ModularCheapComponents += I.Engine != ModularEngine::Rank;
-  return Oracle;
+  // Restrict A to the cut in original id order, with acceptance narrowed
+  // to the targets. Inert-weak SCCs collapse into one universal accepting
+  // state, numbered first: the finite-trace shape.
+  const bool Collapse = allInertWeak(A, D, InScc);
+  auto C = std::make_unique<ModularComplement>(Buchi(A.numSymbols(), 1));
+  Buchi &Cut = C->Cut;
+  constexpr State NoState = ~State(0);
+  State Universal = NoState;
+  if (Collapse) {
+    Universal = Cut.addState();
+    Cut.setAccepting(Universal);
+    for (Symbol Sym = 0; Sym < A.numSymbols(); ++Sym)
+      Cut.addTransition(Universal, Sym, Universal);
+  }
+  std::vector<State> Map(N, NoState);
+  for (State S = 0; S < N; ++S)
+    if (InCut[S])
+      Map[S] = Collapse && InScc[S] ? Universal : Cut.addState();
+  for (State S = 0; S < N; ++S) {
+    if (!InCut[S] || Map[S] == Universal)
+      continue;
+    if (IsTarget[S])
+      Cut.setAccepting(Map[S]);
+    for (const Buchi::Arc &Arc : A.arcsFrom(S))
+      if (InCut[Arc.To])
+        Cut.addTransition(Map[S], Arc.Sym, Map[Arc.To]);
+  }
+  for (State I : A.initials().elems())
+    if (InCut[I])
+      Cut.addInitial(Map[I]);
+
+  if (Collapse) {
+    C->Oracle = std::make_unique<FiniteTraceComplementOracle>(Cut, Universal);
+    return C;
+  }
+  Buchi Complete = completeWithSink(Cut);
+  if (Complete.isDeterministic()) {
+    Cut = std::move(Complete);
+    C->Oracle = std::make_unique<DbaComplementOracle>(Cut);
+  } else if ((C->Prepared = prepareSdba(Cut))) {
+    C->Oracle = std::make_unique<NcsbOracle>(*C->Prepared, Ncsb);
+  } else {
+    return nullptr;
+  }
+  return C;
 }

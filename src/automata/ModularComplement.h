@@ -1,39 +1,26 @@
-//===- automata/ModularComplement.h - Mix-and-match complement -*- C++ -*-===//
+//===- automata/ModularComplement.h - Co-reach-cut complement -*- C++ -*-===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Modular ("mix-and-match") Büchi complementation. Every accepting run of
-/// a BA is eventually trapped in exactly one accepting SCC D, so
+/// The modular complement of one certified module (after Havlena et al.'s
+/// mix-and-match complementation, PAPERS.md). Every accepting run of a BA
+/// is eventually trapped in an accepting SCC -- a nontrivial SCC holding an
+/// accepting state -- so restricting the BA to the states that can still
+/// reach an accepting state of such an SCC, with acceptance narrowed to
+/// those states, preserves its language. The restriction is what makes a
+/// cheap construction applicable: it drops everything downstream of the
+/// accepting SCCs, so a semideterministic core becomes a genuine SDBA, and
+/// inert-weak SCCs collapse to the single universal state of the
+/// finite-trace shape. The builder picks, in order:
 ///
-///     L(A) = union over accepting D of L_D,
-///
-/// where L_D is the set of words with an accepting run trapped in D.
-/// Restricting A to the states co-reachable to the accepting states of D
-/// (acceptance narrowed to those states) yields a partial automaton A_D
-/// with L(A_D) = L_D, and the restriction is exactly what makes a cheap
-/// construction applicable: the co-reach cut drops everything downstream of
-/// D, so a semideterministic SCC becomes a genuine SDBA, and an inert-weak
-/// SCC collapses to the single-universal-state shape of the finite-trace
-/// complement. The complement is then the intersection
-///
-///     complement(L(A)) = intersection over D of complement(L(A_D)),
-///
-/// computed lazily as a synchronized product of the per-component partial
-/// complements with a degeneralization counter (same convention as
-/// Ops.cpp's degeneralize: layer j < K waits for component j, layer K is
-/// the sole accepting layer).
-///
-/// Components of the same class are first grouped into one partial
-/// complement; when the grouped automaton misses its engine's precondition
-/// (e.g. two semideterministic SCCs connected through a nondeterministic
-/// corridor) the group is split back into per-SCC components. Engines are
-/// resolved uniformly per component: inert-weak collapse -> finite-trace;
-/// else deterministic-after-completion -> Kurshan DBA; else SDBA -> NCSB;
-/// else small enough -> rank; else the whole build fails and the caller
-/// falls back to a monolithic construction.
+///   * every accepting SCC inert-weak -> finite-trace complement;
+///   * the completed cut deterministic -> Kurshan's DBA complement;
+///   * the cut an SDBA                 -> NCSB (variant per options);
+///   * otherwise no complement (the caller falls back to the monolithic
+///     chain).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +28,7 @@
 #define TERMCHECK_AUTOMATA_MODULARCOMPLEMENT_H
 
 #include "automata/ComplementOracle.h"
-#include "automata/Interner.h"
 #include "automata/Ncsb.h"
-#include "automata/SccClassify.h"
 #include "automata/Sdba.h"
 
 #include <memory>
@@ -51,119 +36,27 @@
 
 namespace termcheck {
 
-/// Which construction complements one component.
-enum class ModularEngine : uint8_t { FiniteTrace, Dba, Ncsb, Rank };
+/// A built complement: the oracle plus the automata it reads. The oracle
+/// keeps references into Cut/Prepared, so the object neither copies nor
+/// moves; it is handed out behind a unique_ptr.
+struct ModularComplement {
+  /// The restricted module: collapsed for the finite-trace complement,
+  /// completed for the DBA complement, as cut for NCSB.
+  Buchi Cut;
+  /// NCSB's normalized input (set only when NCSB complements the cut).
+  std::optional<Sdba> Prepared;
+  std::unique_ptr<ComplementOracle> Oracle;
 
-/// \returns a stable lowercase name (statistics, traces, tests).
-const char *modularEngineName(ModularEngine E);
-
-/// How one partial complement was built (introspection for tests, benches,
-/// and run reports).
-struct ModularComponentInfo {
-  SccClass Class;       ///< class of the SCC group behind the component
-  ModularEngine Engine; ///< construction complementing it
-  uint32_t InputStates; ///< states of the engine's input automaton
+  explicit ModularComplement(Buchi Cut) : Cut(std::move(Cut)) {}
+  ModularComplement(const ModularComplement &) = delete;
+  ModularComplement &operator=(const ModularComplement &) = delete;
 };
 
-/// Knobs of the modular builder.
-struct ModularBuildOptions {
-  /// NCSB variant used for semideterministic components.
-  NcsbVariant Ncsb = NcsbVariant::Lazy;
-};
-
-/// A tuple of component macro-states plus the degeneralization layer.
-struct ModularMacroState {
-  std::vector<State> Parts; ///< one macro-state id per component
-  uint32_t Layer = 0;       ///< 0..K-1 waiting, K accepting
-
-  bool operator==(const ModularMacroState &O) const {
-    return Layer == O.Layer && Parts == O.Parts;
-  }
-
-  size_t hash() const {
-    size_t H = 0x9e3779b97f4a7c15ULL ^ Layer;
-    for (State S : Parts)
-      H = (H * 0x100000001b3ULL) ^ S;
-    return H;
-  }
-};
-
-/// The synchronized product of the per-component partial complements.
-///
-/// The language of a tuple is the intersection of its components'
-/// languages, independently of the counter layer, so subsumption is the
-/// component-wise oracle relation with the layer ignored -- sound and
-/// strictly stronger than tuple equality. With zero components (the input
-/// has no accepting SCC, hence an empty language) the oracle is the
-/// one-state universal automaton.
-class ModularComplementOracle : public ComplementOracle {
-public:
-  uint32_t numSymbols() const override { return Symbols; }
-  std::vector<State> initialStates() override;
-  void successors(State S, Symbol Sym, std::vector<State> &Out) override;
-  bool isAccepting(State S) override {
-    return Tuples[S].Layer == Components.size();
-  }
-  /// Tuple states plus every component's own discoveries, so state-budget
-  /// caps see the construction's real footprint.
-  size_t numStatesDiscovered() const override;
-  bool subsumedBy(State Sub, State Sup) const override;
-
-  /// Forwards the stride to every component (their successor enumerations,
-  /// not the tuple loop, are where the time goes).
-  void setPollStride(uint32_t Stride) override;
-
-  size_t numComponents() const { return Components.size(); }
-  const std::vector<ModularComponentInfo> &componentInfo() const {
-    return Info;
-  }
-  /// The interned tuple behind a dense id (stable reference).
-  const ModularMacroState &macroState(State S) const { return Tuples[S]; }
-
-private:
-  friend std::unique_ptr<ModularComplementOracle>
-  buildModularComplement(const Buchi &A, const ModularBuildOptions &Opts);
-
-  /// One partial complement. Held by unique_ptr so the oracle's reference
-  /// into Partial/Prepared stays valid as the vector grows.
-  struct Part {
-    Buchi Partial;                ///< engine input (owned; completed for
-                                  ///< DBA/rank, collapsed for finite-trace)
-    std::optional<Sdba> Prepared; ///< NCSB input (references kept by Oracle)
-    std::unique_ptr<ComplementOracle> Oracle;
-    ModularEngine Engine = ModularEngine::Rank;
-    SccClass Class = SccClass::General;
-
-    explicit Part(Buchi B) : Partial(std::move(B)) {}
-  };
-
-  explicit ModularComplementOracle(uint32_t Symbols) : Symbols(Symbols) {}
-
-  /// The degeneralization counter step (Ops.cpp convention): reset to 0
-  /// from the accepting layer, then skip every component already accepting
-  /// in the target tuple.
-  uint32_t advance(uint32_t Layer, const std::vector<State> &Parts);
-
-  uint32_t Symbols;
-  std::vector<std::unique_ptr<Part>> Components;
-  std::vector<ModularComponentInfo> Info;
-  Interner<ModularMacroState> Tuples;
-
-  /// Scratch hoisted out of successors(): per-component successor lists,
-  /// the cross-product odometer, and the candidate tuple probed against
-  /// the interner (copied into the arena only on a miss).
-  std::vector<std::vector<State>> SuccLists;
-  std::vector<size_t> Odometer;
-  ModularMacroState Scratch;
-};
-
-/// Builds the modular complement of \p A (one acceptance condition).
-/// \returns nullptr when some component fits no engine even after
-/// splitting (a too-large general SCC); the caller then falls back to a
-/// monolithic construction. A successful build bumps the perf.modular_*
-/// counters.
-std::unique_ptr<ModularComplementOracle>
-buildModularComplement(const Buchi &A, const ModularBuildOptions &Opts = {});
+/// Builds the modular complement of \p A (one acceptance condition),
+/// complementing semideterministic cuts with NCSB variant \p Ncsb.
+/// \returns nullptr when the cut fits none of the three constructions.
+std::unique_ptr<ModularComplement>
+buildModularComplement(const Buchi &A, NcsbVariant Ncsb = NcsbVariant::Lazy);
 
 } // namespace termcheck
 

@@ -39,13 +39,6 @@ struct Counters {
   uint64_t InternMisses = 0;
   /// Product arcs stored in the difference engine's per-state memo.
   uint64_t ArcsMemoized = 0;
-  /// Modular complement engines built (one per successful decomposition).
-  uint64_t ModularBuilds = 0;
-  /// Partial-complement components across all modular builds.
-  uint64_t ModularComponents = 0;
-  /// Components complemented by an engine cheaper than the rank-based
-  /// fallback (finite-trace subset, Kurshan DBA, or NCSB).
-  uint64_t ModularCheapComponents = 0;
 };
 
 /// This thread's counter bag.

@@ -51,31 +51,6 @@ Buchi randomDba(Rng &R, uint32_t NumStates, uint32_t NumSymbols,
 LassoWord randomLasso(Rng &R, uint32_t NumSymbols, uint32_t MaxStem,
                       uint32_t MaxLoop);
 
-/// Shape parameters for class-mixed BAs (the modular-complement corpus).
-/// Each block toggles one accepting-SCC class of SccClassify.h; a zero
-/// count disables the block. The nondeterministic prefix feeds every
-/// enabled block, so the automaton as a whole is nondeterministic while
-/// each accepting SCC keeps its designed class.
-struct ClassMixedSpec {
-  uint32_t NumSymbols = 2;    ///< >= 2 (the block recipes use two symbols)
-  uint32_t PrefixStates = 3;  ///< >= 1; nondeterministic, non-accepting
-  uint32_t DetStates = 2;     ///< Deterministic SCC (clamped to >= 2)
-  uint32_t WeakStates = 2;    ///< InertWeak SCC (closed, complete, accepting)
-  uint32_t SemiStates = 2;    ///< Semideterministic SCC (+ a 2-state
-                              ///< non-accepting nondeterministic escape tail
-                              ///< that keeps its downstream nondeterministic)
-  uint32_t GeneralStates = 2; ///< General SCC (clamped to >= 2)
-};
-
-/// Generates a seeded automaton mixing the four accepting-SCC classes.
-/// The initial state always carries a nondeterministic fork, so the result
-/// is never deterministic as a whole. The general block stays closed and
-/// is entered only from the prefix, so the modular builder's rank
-/// component sees at most PrefixStates + GeneralStates + 1 states; keep
-/// that below RankComplementOracle::MaxInputStates when the build must
-/// succeed.
-Buchi randomClassMixedBa(Rng &R, const ClassMixedSpec &Spec);
-
 } // namespace termcheck
 
 #endif // TERMCHECK_BENCHGEN_RANDOMAUTOMATA_H

@@ -51,8 +51,6 @@ const char *termcheck::faultSiteName(FaultSite S) {
     return "ncsb_successor";
   case FaultSite::ProverEntry:
     return "prover_entry";
-  case FaultSite::ModularExpand:
-    return "modular_expand";
   case FaultSite::SandboxEntry:
     return "sandbox_entry";
   case FaultSite::NumSites:

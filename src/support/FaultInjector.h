@@ -10,14 +10,13 @@
 /// atomic load, cheap enough for the Rational hot loop -- and does nothing
 /// unless a test arms it.
 ///
-/// Injection points live at the six spots where real faults were observed
+/// Injection points live at the five spots where real faults were observed
 /// or are plausible under production load:
 ///
 ///   * RationalOp       -- every checked Rational multiply/add,
 ///   * DifferenceExpand -- each product-state expansion of the difference,
 ///   * NcsbSuccessor    -- each NCSB successor computation,
 ///   * ProverEntry      -- entry of the lasso and recurrence provers,
-///   * ModularExpand    -- each tuple expansion of the modular complement,
 ///   * SandboxEntry     -- entry of a sandboxed termcheckd worker process.
 ///
 /// All sites but SandboxEntry throw through hit(). SandboxEntry is a HARD
@@ -57,7 +56,6 @@ enum class FaultSite : uint8_t {
   DifferenceExpand,
   NcsbSuccessor,
   ProverEntry,
-  ModularExpand,
   SandboxEntry,
   NumSites,
 };

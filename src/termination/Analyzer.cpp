@@ -12,7 +12,6 @@
 #include "automata/ModularComplement.h"
 #include "automata/Ops.h"
 #include "automata/PerfCounters.h"
-#include "automata/RankComplement.h"
 #include "automata/Simulation.h"
 #include "termination/ModuleCache.h"
 
@@ -118,9 +117,8 @@ Buchi termcheck::programToBuchi(const Program &P) {
 /// complementation of general BAs is deliberately not on this list -- its
 /// blowup is the very thing the multi-stage approach avoids -- so a module
 /// failing this test is replaced by a weaker complementable one. Under the
-/// Modular strategy a module also qualifies when the mix-and-match
-/// decomposition fits: every accepting SCC then gets an engine of its own,
-/// and rank only ever sees a single small component, not the whole module.
+/// Modular strategy a module also qualifies when its co-reach cut fits one
+/// of those three constructions (DESIGN.md section 13).
 static bool cheaplyComplementable(const CertifiedModule &M,
                                   const AnalyzerOptions &Opts) {
   if (M.Kind == ModuleKind::FiniteTrace && M.UniversalState)
@@ -131,7 +129,7 @@ static bool cheaplyComplementable(const CertifiedModule &M,
   if (classifySdba(C).IsSemideterministic)
     return true;
   if (Opts.Complement == ComplementStrategy::Modular)
-    return buildModularComplement(M.A, {Opts.Ncsb}) != nullptr;
+    return buildModularComplement(M.A, Opts.Ncsb) != nullptr;
   return false;
 }
 
@@ -315,6 +313,7 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
   DiffOpts.MaxProductStates = Opts.MaxProductStates;
   DiffOpts.Guard = Opts.Guard;
 
+  std::unique_ptr<ModularComplement> Modular; // outlives the oracle it feeds
   std::unique_ptr<ComplementOracle> Oracle;
   std::optional<Sdba> Prepared;
   std::optional<Buchi> Completed;
@@ -326,11 +325,12 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
     Oracle = std::make_unique<FiniteTraceComplementOracle>(M.A,
                                                            *M.UniversalState);
   } else if (Opts.Complement == ComplementStrategy::Modular &&
-             (Oracle = buildModularComplement(M.A, {Opts.Ncsb}))) {
+             (Modular = buildModularComplement(M.A, Opts.Ncsb))) {
     // A failed build leaves Oracle null and falls through to the
     // monolithic chain below.
     Stats.add("complement.modular");
     CompKind = "modular";
+    Oracle = std::move(Modular->Oracle);
   }
   if (!Oracle && !(M.Kind == ModuleKind::FiniteTrace && M.UniversalState)) {
     Completed = completeWithSink(M.A);
@@ -722,15 +722,6 @@ AnalysisResult TerminationAnalyzer::run() {
   Result.Stats.add("perf.arcs_memoized",
                    static_cast<int64_t>(PerfEnd.ArcsMemoized -
                                         PerfStart.ArcsMemoized));
-  Result.Stats.add("perf.modular_builds",
-                   static_cast<int64_t>(PerfEnd.ModularBuilds -
-                                        PerfStart.ModularBuilds));
-  Result.Stats.add("perf.modular_components",
-                   static_cast<int64_t>(PerfEnd.ModularComponents -
-                                        PerfStart.ModularComponents));
-  Result.Stats.add("perf.modular_cheap_components",
-                   static_cast<int64_t>(PerfEnd.ModularCheapComponents -
-                                        PerfStart.ModularCheapComponents));
   if (Opts.Cache) {
     Result.Stats.add("perf.cache_hits",
                      static_cast<int64_t>(CacheStats.Hits));

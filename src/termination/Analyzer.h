@@ -55,10 +55,10 @@ enum class ComplementStrategy : uint8_t {
   /// The historical chain: finite-trace, then Kurshan DBA, then NCSB, then
   /// the word-only fallback.
   Auto,
-  /// Try the modular (mix-and-match) decomposition first: classify the
-  /// module's accepting SCCs, complement each class with its cheapest
-  /// engine, and intersect the partial complements. Falls back to Auto's
-  /// chain when no decomposition fits.
+  /// Try the modular complement first: cut the module down to the states
+  /// that still reach its accepting SCCs and complement the cut with the
+  /// finite-trace, DBA or NCSB construction. Falls back to Auto's chain
+  /// when none fits.
   Modular,
 };
 

@@ -12,7 +12,9 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <optional>
 
@@ -27,56 +29,45 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
     bool NontermBiased;
     bool Modular = false;
   };
-  // Diversity-first order: entry 0 is the library default; every short
-  // prefix already spans all three axes, so --portfolio 4 races genuinely
-  // different strategies rather than four near-clones. Every entrant runs
-  // the recurrence prover; the two nonterm-biased ones race with larger
-  // CEGIS/witness budgets and a longer unknown-skip hunt, so on
+  // Diversity-first order: entry 0 is the library default and every short
+  // prefix flips a different axis, so --portfolio 4 races genuinely
+  // different strategies rather than four near-clones. Sequence (ii) has
+  // no entrant: in the roster audit (ROADMAP.md) it won no program. Every
+  // entrant runs the recurrence prover; the nonterm-biased ones race with
+  // larger CEGIS/witness budgets and a longer unknown-skip hunt, so on
   // nonterminating programs whose easy lassos the default budgets miss,
   // they reach NONTERMINATING while the others are still refining.
   static const Entry Roster[] = {
       {"seq_i-lazy-sub", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, true, false},
-      {"seq_ii-orig-sub", AnalyzerOptions::sequenceSkipSemi,
-       NcsbVariant::Original, true, false},
       {"seq_iii-lazy-sub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
        true, false},
       {"nonterm-deep", AnalyzerOptions::sequenceSkipDet, NcsbVariant::Lazy,
        true, true},
       {"seq_i-orig-nosub", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Original, false, false},
-      {"seq_ii-lazy-nosub", AnalyzerOptions::sequenceSkipSemi,
-       NcsbVariant::Lazy, false, false},
       {"seq_iii-orig-sub", AnalyzerOptions::sequenceAll,
        NcsbVariant::Original, true, false},
       {"seq_i-orig-sub", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Original, true, false},
-      {"seq_ii-lazy-sub", AnalyzerOptions::sequenceSkipSemi,
-       NcsbVariant::Lazy, true, false},
       {"seq_iii-lazy-nosub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
        false, false},
       {"seq_i-lazy-nosub", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, false, false},
-      {"seq_ii-orig-nosub", AnalyzerOptions::sequenceSkipSemi,
-       NcsbVariant::Original, false, false},
       {"seq_iii-orig-nosub", AnalyzerOptions::sequenceAll,
        NcsbVariant::Original, false, false},
       {"nonterm-deep-orig", AnalyzerOptions::sequenceAll,
        NcsbVariant::Original, true, true},
-      // The modular entrants ride at the roster's tail so every historical
-      // prefix of defaultPortfolio(K) is unchanged; they race the
-      // mix-and-match complement, whose per-SCC engines accept stage-4
-      // modules the monolithic chain would degrade to word-only removal.
+      // The modular entrants ride at the roster's tail; they race the
+      // modular complement, whose co-reach cut accepts stage-4 modules the
+      // monolithic chain would degrade to word-only removal.
       {"seq_iii-modular-sub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
        true, false, true},
       {"nonterm-modular-deep", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, true, true, true},
   };
-  constexpr size_t RosterSize = sizeof(Roster) / sizeof(Roster[0]);
-  if (K == 0)
-    K = 1;
-  if (K > RosterSize)
-    K = RosterSize;
+  static_assert(std::size(Roster) == PortfolioRosterSize);
+  K = std::clamp<size_t>(K, 1, PortfolioRosterSize);
 
   std::vector<PortfolioConfig> Out;
   Out.reserve(K);

@@ -43,14 +43,18 @@ struct PortfolioConfig {
   AnalyzerOptions Opts;
 };
 
+/// Number of entrants in the default roster. The CLIs reject a larger
+/// --portfolio count.
+inline constexpr size_t PortfolioRosterSize = 12;
+
 /// The deterministic default roster: the Section 7 evaluation axes (stage
-/// sequence i/ii/iii x NCSB lazy/original x subsumption on/off), two
+/// sequence i/iii x NCSB lazy/original x subsumption on/off), two
 /// nonterm-biased entrants with enlarged recurrence-prover budgets, and two
-/// entrants running the modular (mix-and-match) complement strategy,
-/// ordered so small prefixes are diverse -- entry 0 is the library default
-/// configuration, and each following entry flips at least one axis of an
-/// earlier one. The modular entrants sit at the tail, so every prefix of
-/// the historical 14-entry roster is unchanged. \p K is clamped to [1, 16].
+/// entrants running the modular complement strategy, ordered so small
+/// prefixes are diverse -- entry 0 is the library default configuration,
+/// and each following entry flips at least one axis of an earlier one. The
+/// modular entrants sit at the tail (slots 10 and 11). \p K is clamped to
+/// [1, PortfolioRosterSize].
 std::vector<PortfolioConfig> defaultPortfolio(size_t K);
 
 /// Portfolio-level knobs (per-configuration knobs live in the roster).

@@ -142,9 +142,10 @@ ErrorOr<AnalysisResult> chaosRun(const Program &P, uint64_t Seed,
 /// The weakening check: a faulted run that still concludes must agree with
 /// the recorded expectation; inconclusive verdicts are always acceptable.
 void expectNoFlip(const CorpusEntry &E, Verdict Got, uint64_t Seed) {
-  if (isConclusive(Got))
+  if (isConclusive(Got)) {
     EXPECT_EQ(Got, E.Expected)
         << E.File << " flipped verdict under fault seed " << Seed;
+  }
 }
 
 TEST(Chaos, SeededAnalyzerRunsNeverCrashOrFlipVerdicts) {
@@ -206,16 +207,18 @@ TEST(Chaos, HealthyModularRunsMatchExpectationsExactly) {
 }
 
 TEST(Chaos, ModularStrategyFaultsOnlyWeaken) {
-  // The modular path's fault contract: seeds whose plan arms the
-  // ModularExpand site (each tuple expansion of the modular product) may
-  // degrade a verdict to UNKNOWN/TIMEOUT but never flip it.
+  // The modular path's fault contract: seeds whose plan arms a site the
+  // modular complement runs through -- each product expansion of the
+  // difference, each NCSB successor -- may degrade a verdict to
+  // UNKNOWN/TIMEOUT but never flip it.
   std::vector<CorpusEntry> Corpus = loadCorpusWithExpectations();
   ASSERT_FALSE(Corpus.empty());
   uint64_t Runs = 0, TotalFired = 0;
   for (uint64_t Seed = 1; Seed <= 4096 && Runs < 80; ++Seed) {
     FaultInjector::arm(Seed);
     bool ModularArmed =
-        FaultInjector::plannedTrigger(FaultSite::ModularExpand) != 0;
+        FaultInjector::plannedTrigger(FaultSite::DifferenceExpand) != 0 ||
+        FaultInjector::plannedTrigger(FaultSite::NcsbSuccessor) != 0;
     FaultInjector::disarm();
     if (!ModularArmed)
       continue;
@@ -273,9 +276,10 @@ TEST(Chaos, PortfolioRacesSurviveFaultsAndNeverHang) {
     ArmedScope Armed(Seed);
     PortfolioRunResult R = runPortfolio(E.Prog, Configs, PO);
     expectNoFlip(E, R.Result.V, Seed);
-    if (R.FaultedEntrants != 0)
+    if (R.FaultedEntrants != 0) {
       EXPECT_GE(R.Merged.get("portfolio.faulted"),
                 static_cast<int64_t>(R.FaultedEntrants));
+    }
   }
 }
 
@@ -284,9 +288,10 @@ TEST(Chaos, ModularPortfolioEntrantsSurviveFaults) {
   // tail: quarantine on faults, no hangs, no flipped verdicts.
   std::vector<CorpusEntry> Corpus = loadCorpusWithExpectations();
   ASSERT_FALSE(Corpus.empty());
-  std::vector<PortfolioConfig> All = defaultPortfolio(16);
-  ASSERT_EQ(All.size(), 16u);
-  std::vector<PortfolioConfig> Configs{All[14], All[15]};
+  std::vector<PortfolioConfig> All = defaultPortfolio(PortfolioRosterSize);
+  ASSERT_EQ(All.size(), PortfolioRosterSize);
+  std::vector<PortfolioConfig> Configs{All[PortfolioRosterSize - 2],
+                                       All[PortfolioRosterSize - 1]};
   for (const PortfolioConfig &C : Configs) {
     EXPECT_NE(C.Name.find("modular"), std::string::npos) << C.Name;
     EXPECT_EQ(C.Opts.Complement, ComplementStrategy::Modular) << C.Name;
@@ -524,8 +529,9 @@ TEST(Chaos, ResourceGuardEndsRunsInsteadOfExploding) {
     TerminationAnalyzer A(Local, Opts);
     AnalysisResult R = A.run();
     expectNoFlip(Corpus[I], R.V, 0);
-    if (R.Stats.get("resource.exhausted") != 0)
+    if (R.Stats.get("resource.exhausted") != 0) {
       EXPECT_EQ(R.V, Verdict::Timeout) << Corpus[I].File;
+    }
   }
 }
 

@@ -38,10 +38,12 @@ TEST(Dot, ControlCharactersInLabelsAreEscaped) {
                                     "g");
   // No raw control byte from the label may survive into the DOT text
   // (the document's own structural newlines are the only ones allowed).
-  for (char C : Out)
-    if (C != '\n')
+  for (char C : Out) {
+    if (C != '\n') {
       EXPECT_GE(static_cast<unsigned char>(C), 0x20u)
           << "raw control byte leaked into DOT output";
+    }
+  }
   EXPECT_NE(Out.find("a\\nb\\tc\\rd\\001e"), std::string::npos) << Out;
 }
 

@@ -127,14 +127,15 @@ TEST(Portfolio, SequentialFallbackIsDeterministic) {
 }
 
 TEST(Portfolio, FullRosterIsDeterministicSequentially) {
-  // The whole 16-entry roster under Jobs == 1 stays a byte-deterministic
+  // The whole roster under Jobs == 1 stays a byte-deterministic
   // sequential fallback. A subset of the corpus keeps the test inside its
   // budget; SequentialFallbackIsDeterministic sweeps every program with
   // the shorter roster.
   std::vector<CorpusEntry> Corpus = loadCorpus();
   ASSERT_GE(Corpus.size(), 6u);
-  std::vector<PortfolioConfig> Configs = defaultPortfolio(16);
-  ASSERT_EQ(Configs.size(), 16u);
+  std::vector<PortfolioConfig> Configs =
+      defaultPortfolio(PortfolioRosterSize);
+  ASSERT_EQ(Configs.size(), PortfolioRosterSize);
   for (size_t I = 0; I < Corpus.size(); I += 3) {
     PortfolioOptions PO;
     PO.Jobs = 1;
@@ -150,11 +151,17 @@ TEST(Portfolio, FullRosterIsDeterministicSequentially) {
 
 TEST(Portfolio, RosterIsDiverseAndClamped) {
   EXPECT_EQ(defaultPortfolio(0).size(), 1u);
-  EXPECT_EQ(defaultPortfolio(100).size(), 16u);
-  std::vector<PortfolioConfig> Configs = defaultPortfolio(16);
+  EXPECT_EQ(defaultPortfolio(100).size(), PortfolioRosterSize);
+  std::vector<PortfolioConfig> Configs =
+      defaultPortfolio(PortfolioRosterSize);
+  ASSERT_EQ(Configs.size(), 12u);
   for (size_t I = 0; I < Configs.size(); ++I)
     for (size_t J = I + 1; J < Configs.size(); ++J)
       EXPECT_NE(Configs[I].Name, Configs[J].Name);
+  // The roster audit dropped every sequence (ii) entrant; the Section 7
+  // ablation still reaches that sequence through --sequence ii.
+  for (const PortfolioConfig &C : Configs)
+    EXPECT_NE(C.Opts.Sequence, AnalyzerOptions::sequenceSkipSemi()) << C.Name;
   // Entry 0 is the library default configuration.
   AnalyzerOptions Default;
   EXPECT_EQ(Configs[0].Opts.Sequence, Default.Sequence);
@@ -169,15 +176,14 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
     if (C.Opts.Nonterm.MaxCegisRounds > DefaultNonterm.MaxCegisRounds)
       ++Biased;
   EXPECT_EQ(Biased, 3u);
-  EXPECT_GT(defaultPortfolio(4).back().Opts.Nonterm.MaxUnroll,
+  EXPECT_GT(defaultPortfolio(3).back().Opts.Nonterm.MaxUnroll,
             DefaultNonterm.MaxUnroll);
-  // The modular entrants ride at the tail so historical prefixes are
-  // unchanged: every pre-existing slot races the Auto complement strategy,
-  // and slots 14-15 race the mix-and-match modular complement.
-  for (size_t I = 0; I < 14; ++I)
+  // The modular entrants ride at the tail: every other slot races the Auto
+  // complement strategy, and slots 10-11 race the modular complement.
+  for (size_t I = 0; I + 2 < PortfolioRosterSize; ++I)
     EXPECT_EQ(Configs[I].Opts.Complement, ComplementStrategy::Auto)
         << Configs[I].Name;
-  for (size_t I = 14; I < 16; ++I) {
+  for (size_t I = PortfolioRosterSize - 2; I < PortfolioRosterSize; ++I) {
     EXPECT_EQ(Configs[I].Opts.Complement, ComplementStrategy::Modular)
         << Configs[I].Name;
     EXPECT_NE(Configs[I].Name.find("modular"), std::string::npos)
@@ -187,13 +193,14 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
 
 TEST(Portfolio, ModularEntrantsAreDeterministicWithCounters) {
   // The modular entrants must keep the Jobs == 1 contract: byte-identical
-  // merged dumps across runs, with the perf.modular_* counters from the
-  // mix-and-match complement present under the entrant's cfg. prefix. At
-  // least one corpus program must actually exercise a modular build.
+  // merged dumps across runs. At least one corpus program must actually
+  // subtract a module through the modular complement, which the
+  // complement.modular counter under the entrant's cfg. prefix records.
   std::vector<CorpusEntry> Corpus = loadCorpus();
   ASSERT_FALSE(Corpus.empty());
-  std::vector<PortfolioConfig> All = defaultPortfolio(16);
-  std::vector<PortfolioConfig> Configs = {All[14], All[15]};
+  std::vector<PortfolioConfig> All = defaultPortfolio(PortfolioRosterSize);
+  std::vector<PortfolioConfig> Configs = {All[PortfolioRosterSize - 2],
+                                          All[PortfolioRosterSize - 1]};
   ASSERT_EQ(Configs[0].Opts.Complement, ComplementStrategy::Modular);
   int64_t TotalBuilds = 0;
   for (const CorpusEntry &E : Corpus) {
@@ -205,13 +212,8 @@ TEST(Portfolio, ModularEntrantsAreDeterministicWithCounters) {
     EXPECT_EQ(First.Result.V, Second.Result.V) << E.Name;
     EXPECT_EQ(First.Merged.str(), Second.Merged.str())
         << E.Name << ": statistics dump must be byte-identical";
-    // The first entrant always runs under Jobs == 1, so its counters must
-    // land in the merged dump (value may be zero on trivial programs).
-    const std::string Key = "cfg." + Configs[0].Name + ".perf.modular_builds";
-    EXPECT_NE(First.Merged.str().find(Key), std::string::npos) << E.Name;
-    TotalBuilds += First.Merged.get(Key);
-    TotalBuilds +=
-        First.Merged.get("cfg." + Configs[1].Name + ".perf.modular_builds");
+    for (const PortfolioConfig &C : Configs)
+      TotalBuilds += First.Merged.get("cfg." + C.Name + ".complement.modular");
   }
   EXPECT_GT(TotalBuilds, 0) << "no corpus program exercised a modular build";
 }

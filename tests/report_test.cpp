@@ -79,11 +79,13 @@ json::Value parseAndCheckRequiredKeys(const std::string &Doc) {
         "timers_s", "portfolio", "trace_events"})
     EXPECT_NE(V.find(Key), nullptr) << "missing required key: " << Key;
   const json::Value *Schema = V.find("schema");
-  if (Schema)
+  if (Schema) {
     EXPECT_EQ(Schema->Str, RunReportSchemaName);
+  }
   const json::Value *Ver = V.find("schema_version");
-  if (Ver)
+  if (Ver) {
     EXPECT_EQ(Ver->Num, RunReportSchemaVersion);
+  }
   const json::Value *Stages = V.find("stages");
   if (Stages) {
     EXPECT_TRUE(Stages->isObject());

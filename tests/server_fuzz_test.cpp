@@ -170,8 +170,9 @@ TEST(ServerFuzz, SessionAnswersEveryMutatedLineOrStopsOnDrain) {
       // reading instead) and a blank/whitespace-only line (keep-alive
       // noise the session skips).
       bool Blank = M.find_first_not_of(" \t\r\n") == std::string::npos;
-      if (!Drain && !Blank)
+      if (!Drain && !Blank) {
         EXPECT_GE(Responses, 1u) << "silently dropped line: " << M;
+      }
       if (Drain) {
         // A mutated line can still spell a valid drain; finish the drain
         // handshake and start a fresh scheduler-equivalent state by

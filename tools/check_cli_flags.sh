@@ -62,6 +62,9 @@ done
 # not for the two count flags.
 expect_reject --jobs 0
 expect_reject --portfolio 0
+# --portfolio counts roster entrants: the roster has 12, and a larger count
+# is a usage error rather than a silent clamp.
+expect_reject --portfolio 13
 # NaN/inf must not sneak through strtod.
 expect_reject --timeout nan
 expect_reject --timeout inf
@@ -72,6 +75,7 @@ expect_accept --max-states 0
 expect_accept --max-states 100000
 expect_accept --jobs 1
 expect_accept --portfolio 2
+expect_accept --portfolio 12
 
 # --complement is enumerated, not numeric, but gets the same structured
 # rejection: a typo must be exit 4 naming the flag, never a silent default.

@@ -41,10 +41,9 @@ done
 MICRO="$BUILD/bench/bench_micro_ncsb"
 FIG5="$BUILD/bench/bench_fig5_multistage"
 PORTFOLIO="$BUILD/bench/bench_portfolio"
-MODULAR="$BUILD/bench/bench_modular_complement"
 SERVER="$BUILD/bench/bench_server_throughput"
 MODCACHE="$BUILD/bench/bench_module_cache"
-for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$MODULAR" "$SERVER" "$MODCACHE"; do
+for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$SERVER" "$MODCACHE"; do
   [ -x "$BIN" ] || { echo "run_bench_suite.sh: $BIN not built" >&2; exit 4; }
 done
 
@@ -61,9 +60,6 @@ done
 
 echo "== bench_fig5_multistage (median of $REPEAT) =="
 "$FIG5" --repeat "$REPEAT" --json "$TMP/fig5.json"
-
-echo "== bench_modular_complement (median of $REPEAT) =="
-"$MODULAR" --repeat "$REPEAT" --json "$TMP/modular.json"
 
 echo "== bench_server_throughput (median of $REPEAT) =="
 "$SERVER" --repeat "$REPEAT" --json "$TMP/server.json"
@@ -158,8 +154,6 @@ if baseline_path:
 
 with open(os.path.join(tmp, "fig5.json")) as f:
     report["fig5_multistage"] = json.load(f)
-with open(os.path.join(tmp, "modular.json")) as f:
-    report["modular_complement"] = json.load(f)
 with open(os.path.join(tmp, "portfolio.json")) as f:
     report["portfolio"] = json.load(f)
 with open(os.path.join(tmp, "server.json")) as f:
@@ -172,20 +166,8 @@ with open(os.path.join(tmp, "module_cache.json")) as f:
 if report["module_cache"]["verdict_mismatches"] != 0:
     failures.append("module_cache: verdicts changed with the cache on")
 
-# The modular-complement wall joins the regression gate once a baseline
-# carries the section (older baselines predate the harness and skip it).
-if baseline_path and "modular_complement" in base_doc:
-    base_ns = base_doc["modular_complement"]["total_wall_ns"]
-    cur_ns = report["modular_complement"]["total_wall_ns"]
-    ratio = base_ns / cur_ns if cur_ns > 0 else float("inf")
-    report["vs_baseline"]["modular_complement"] = {
-        "baseline_ns": base_ns,
-        "current_ns": cur_ns,
-        "speedup": round(ratio, 4),
-    }
-    if ratio < 1.0 - max_regress:
-        failures.append(
-            f"modular_complement: {1/ratio:.3f}x slower than baseline")
+# Only the sections below join the gate. A baseline section this suite no
+# longer produces (modular_complement in BENCH_PR10.json) is never read.
 
 # The warm module-cache wall joins the regression gate once a baseline
 # carries the section (older baselines predate the harness and skip it).

@@ -44,6 +44,7 @@
 
 #include "server/Protocol.h"
 #include "support/Error.h"
+#include "termination/Portfolio.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -427,11 +428,13 @@ int main(int Argc, char **Argv) {
     else if (std::strcmp(Arg, "--deadline") == 0)
       JO.DeadlineSeconds =
           parseSeconds("--deadline", NeedsValue("--deadline"));
-    else if (std::strcmp(Arg, "--portfolio") == 0)
+    else if (std::strcmp(Arg, "--portfolio") == 0) {
+      const std::string Range = "a configuration count in [1, " +
+                                std::to_string(PortfolioRosterSize) + "]";
       JO.PortfolioK = static_cast<size_t>(
-          parseCount("--portfolio", NeedsValue("--portfolio"), 1, 16,
-                     "a configuration count in [1, 16]"));
-    else if (std::strcmp(Arg, "--jobs") == 0)
+          parseCount("--portfolio", NeedsValue("--portfolio"), 1,
+                     static_cast<long>(PortfolioRosterSize), Range.c_str()));
+    } else if (std::strcmp(Arg, "--jobs") == 0)
       JO.EntrantJobs = static_cast<size_t>(
           parseCount("--jobs", NeedsValue("--jobs"), 1, 4096,
                      "a positive worker count"));

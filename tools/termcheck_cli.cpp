@@ -14,7 +14,7 @@
 ///     --ncsb <lazy|original> SDBA complementation variant (default lazy)
 ///     --complement <auto|modular> module complementation strategy
 ///     --no-subsumption    disable the Section 6 antichain
-///     --portfolio <K>     race the first K default configurations (1..16)
+///     --portfolio <K>     race the first K default configurations (1..12)
 ///     --jobs <N>          portfolio worker threads (default: all cores;
 ///                         1 = deterministic sequential fallback)
 ///     --no-nonterm        disable the nontermination prover
@@ -85,11 +85,12 @@ void usage(const char *Prog) {
       "  --ncsb <lazy|original>  SDBA complementation variant\n"
       "  --complement <auto|modular>\n"
       "                          module complementation strategy: 'modular'\n"
-      "                          decomposes modules by accepting SCC and\n"
-      "                          intersects per-class partial complements\n"
+      "                          cuts each module down to the states that\n"
+      "                          reach its accepting SCCs before picking a\n"
+      "                          complement\n"
       "  --no-subsumption        disable the antichain optimization\n"
       "  --portfolio <K>         race the first K default configurations\n"
-      "                          (1..16) and report the first conclusive\n"
+      "                          (1..%zu) and report the first conclusive\n"
       "                          verdict; per-config statistics are merged\n"
       "  --jobs <N>              portfolio worker threads (default: all\n"
       "                          cores; 1 = deterministic sequential mode)\n"
@@ -111,7 +112,7 @@ void usage(const char *Prog) {
       "                          ('-' = stdout)\n"
       "  --stats-deterministic   zero wall-clock values in the JSON report\n"
       "                          (byte-identical reports with --jobs 1)\n",
-      Prog);
+      Prog, PortfolioRosterSize);
 }
 
 /// Structured diagnostic for a malformed numeric option value; always a
@@ -213,8 +214,11 @@ int runMain(int Argc, char **Argv) {
           parseCount("--max-states", NeedsValue("--max-states"), 0, LONG_MAX,
                      "a state count >= 0 (0 = unlimited)"));
     } else if (std::strcmp(Arg, "--portfolio") == 0) {
+      const std::string Range = "a configuration count in [1, " +
+                                std::to_string(PortfolioRosterSize) + "]";
       PortfolioK = parseCount("--portfolio", NeedsValue("--portfolio"), 1,
-                              LONG_MAX, "a positive configuration count");
+                              static_cast<long>(PortfolioRosterSize),
+                              Range.c_str());
     } else if (std::strcmp(Arg, "--jobs") == 0) {
       JobsN = parseCount("--jobs", NeedsValue("--jobs"), 1, LONG_MAX,
                          "a positive worker-thread count");
