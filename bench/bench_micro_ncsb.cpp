@@ -53,6 +53,26 @@ void BM_NcsbLazyMaterialize(benchmark::State &St) {
 }
 BENCHMARK(BM_NcsbLazyMaterialize)->Arg(4)->Arg(6)->Arg(8);
 
+/// corpusSdba(8) with its states scattered over 150 ids: the complement is
+/// the same up to renaming, but every NCSB bitset spans three 64-bit words.
+Sdba multiWordSdba() {
+  Rng R(150);
+  auto S = prepareSdba(scatterStates(R, corpusSdba(8).A, 150));
+  assert(S && S->A.numStates() > 128 && "expected three-word bitsets");
+  return *S;
+}
+
+void BM_NcsbMaterializeMultiWord(benchmark::State &St) {
+  Sdba In = multiWordSdba();
+  NcsbVariant V = St.range(0) == 0 ? NcsbVariant::Original : NcsbVariant::Lazy;
+  for (auto _ : St) {
+    NcsbOracle O(In, V);
+    benchmark::DoNotOptimize(O.materialize().numStates());
+  }
+}
+// Arg 0 = NCSB-Original, 1 = NCSB-Lazy.
+BENCHMARK(BM_NcsbMaterializeMultiWord)->Arg(0)->Arg(1);
+
 Buchi universal(uint32_t NumSymbols) {
   Buchi U(NumSymbols, 1);
   State S = U.addState();

@@ -9,79 +9,147 @@
 #include "support/Error.h"
 #include "support/FaultInjector.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace termcheck;
 
+namespace {
+
+/// Calls \p F(State) for every member, in ascending order, of the W-word
+/// bitset whose word I is \p WordOf(I).
+template <typename WordFn, typename Fn>
+void forEachState(size_t W, WordFn WordOf, Fn F) {
+  for (size_t I = 0; I < W; ++I)
+    for (uint64_t X = WordOf(I); X != 0; X &= X - 1)
+      F(static_cast<State>(I * 64 + std::countr_zero(X)));
+}
+
+uint64_t bitOf(State Q) { return uint64_t(1) << (Q % 64); }
+
+bool isEmptySet(const uint64_t *X, size_t W) {
+  return std::all_of(X, X + W, [](uint64_t Word) { return Word == 0; });
+}
+
+void clearSet(std::vector<uint64_t> &X) { std::fill(X.begin(), X.end(), 0); }
+
+} // namespace
+
+StateSet NcsbMacroState::decode(size_t Part) const {
+  const uint64_t *P = part(Part);
+  std::vector<State> Elems;
+  forEachState(
+      width(), [P](size_t I) { return P[I]; },
+      [&Elems](State Q) { Elems.push_back(Q); });
+  return StateSet(std::move(Elems));
+}
+
 NcsbOracle::NcsbOracle(const Sdba &In, NcsbVariant Variant)
-    : In(In), Variant(Variant) {
+    : In(In), Variant(Variant), W((In.A.numStates() + 63) / 64), F(W),
+      Q2(W), T(W), D(W), MustS(W), Must(W), Free(W), Succ(W), Sel(W) {
   assert(In.A.isComplete() && "NCSB expects a complete SDBA");
   In.A.ensureIndex(); // one build up front; the input never mutates
+  for (State Q = 0; Q < In.A.numStates(); ++Q) {
+    if (In.isAccepting(Q))
+      F[Q / 64] |= bitOf(Q);
+    if (In.inQ2(Q))
+      Q2[Q / 64] |= bitOf(Q);
+  }
+  Next.Words.resize(4 * W);
 }
 
 std::vector<State> NcsbOracle::initialStates() {
   // (Q1 cap QI, Q2 cap QI, empty, Q2 cap QI), Definition 5.1.
   NcsbMacroState M;
-  for (State S : In.A.initials().elems()) {
-    if (In.inQ2(S)) {
-      M.C.insert(S);
-      M.B.insert(S);
+  M.Words.assign(4 * W, 0);
+  for (State Q : In.A.initials().elems()) {
+    if (In.inQ2(Q)) {
+      M.Words[W + Q / 64] |= bitOf(Q);
+      M.Words[3 * W + Q / 64] |= bitOf(Q);
     } else {
-      M.N.insert(S);
+      M.Words[Q / 64] |= bitOf(Q);
     }
   }
-  return {intern(std::move(M))};
+  return {Macro.intern(std::move(M))};
 }
 
-void NcsbOracle::delta2Into(const StateSet &X, Symbol Sym, StateSet &Out) {
-  ScratchA.clear();
-  for (State S : X.elems()) {
-    assert(In.inQ2(S) && "delta2 applies to Q2 states only");
-    In.A.successorsInto(S, Sym, ScratchA);
-  }
-  Out.assignNormalized(ScratchA); // normalize once (sort + unique)
-}
-
-void NcsbOracle::deltaFromN(const StateSet &N, Symbol Sym, StateSet &N1,
-                            StateSet &T) {
-  ScratchA.clear();
-  ScratchB.clear();
-  for (State S : N.elems()) {
-    In.A.forEachSuccessor(S, Sym, [this](State To) {
-      (In.inQ2(To) ? ScratchB : ScratchA).push_back(To);
+void NcsbOracle::successors(State Id, Symbol Sym, std::vector<State> &Out) {
+  FaultInjector::hit(FaultSite::NcsbSuccessor);
+  // The arena-backed interner hands out stable references, so the
+  // macro-state can be read in place while internRef discovers successors.
+  const NcsbMacroState &M = Macro[Id];
+  const uint64_t *N = M.part(0), *C = M.part(1), *S = M.part(2),
+                 *B = M.part(3);
+  bool Lazy = Variant == NcsbVariant::Lazy;
+  bool BEmpty = isEmptySet(B, W);
+  // Definition 5.1 and the lazy rules a1-a6 guess the successors of C.
+  // Rules b1-b6 (lazy, B nonempty) guess only those of B; the rest of C
+  // follows deterministically (rule b5).
+  bool RulesB = Lazy && !BEmpty;
+  const uint64_t *G = RulesB ? B : C;
+  // Out |= delta(X, Sym), where word I of X is WordOf(I).
+  auto Post = [&](auto WordOf, std::vector<uint64_t> &Out) {
+    forEachState(W, WordOf, [&](State Q) {
+      auto [It, End] = In.A.successorsSpan(Q, Sym);
+      for (; It != End; ++It)
+        Out[*It / 64] |= bitOf(*It);
     });
+  };
+
+  // MustS = delta_2(S): safe runs stay safe (rule 4) and may never touch
+  // an accepting state.
+  clearSet(MustS);
+  Post([S](size_t I) { return S[I]; }, MustS);
+  for (size_t I = 0; I < W; ++I)
+    if (MustS[I] & F[I])
+      return;
+
+  // D is the part of Q2 to distribute over the guessed set and S'. Must is
+  // what the guessed set has to keep: delta_2(G \ F) (rule 5, which the
+  // a-rules drop, and its counterpart for B) and D cap F (S' is
+  // accepting-free).
+  clearSet(T);
+  clearSet(D);
+  clearSet(Must);
+  Post([N](size_t I) { return N[I]; }, T);
+  Post([&](size_t I) { return G[I] & ~F[I]; }, Lazy && BEmpty ? D : Must);
+  Post([&](size_t I) { return G[I] & F[I]; }, D);
+  uint64_t *NextN = Next.Words.data(), *NextC = NextN + W,
+           *NextS = NextC + W, *NextB = NextS + W;
+  for (size_t I = 0; I < W; ++I) {
+    NextN[I] = T[I] & ~Q2[I]; // N' = delta(N) cap Q1, fixed across splits
+    T[I] &= Q2[I];            // T = delta(N) cap Q2
+    D[I] |= Must[I] | MustS[I] | (RulesB ? 0 : T[I]);
+    Must[I] |= D[I] & F[I];
+    if (Must[I] & MustS[I])
+      return; // rule 3 (b3) cannot hold
+    Free[I] = D[I] & ~(Must[I] | MustS[I]);
   }
-  N1.assignNormalized(ScratchA);
-  T.assignNormalized(ScratchB);
-}
+  // The deterministic components: B' = delta_2(B) cap C' under Definition
+  // 5.1 with B nonempty, C' = (delta_2(C) cup T) \ S' under rule b5.
+  if (!BEmpty) {
+    clearSet(Succ);
+    Post([&](size_t I) { return RulesB ? C[I] : B[I]; }, Succ);
+    if (RulesB)
+      for (size_t I = 0; I < W; ++I)
+        Succ[I] |= T[I];
+  }
 
-void NcsbOracle::acceptingInto(const StateSet &X, StateSet &Out) {
-  ScratchA.clear();
-  for (State S : X.elems())
-    if (In.isAccepting(S))
-      ScratchA.push_back(S);
-  Out.assignNormalized(ScratchA); // already sorted; the sort is a no-op scan
-}
-
-bool NcsbOracle::anyAccepting(const StateSet &X) const {
-  for (State S : X.elems())
-    if (In.isAccepting(S))
-      return true;
-  return false;
-}
-
-template <typename Fn>
-void NcsbOracle::enumerateSplits(const StateSet &FreeSet, Fn Emit) {
-  const auto &Elems = FreeSet.elems();
+  FreeStates.clear();
+  forEachState(
+      W, [this](size_t I) { return Free[I]; },
+      [this](State Q) { FreeStates.push_back(Q); });
   // A free set this wide means 2^|Free| successor macro-states: not a bug
-  // but an input the construction cannot afford. Raising ResourceExhausted
-  // (instead of the old assert, which vanished under NDEBUG and left a
-  // multi-hour loop) lets the analyzer retire this subtraction and degrade.
-  if (Elems.size() > 24)
+  // but an input the construction cannot afford. ResourceExhausted (not an
+  // assert, which NDEBUG removes) lets the analyzer retire this
+  // subtraction and degrade.
+  if (FreeStates.size() > 24)
     throw EngineError(ErrorKind::ResourceExhausted,
                       "NCSB free-set explosion (" +
-                          std::to_string(Elems.size()) + " states)");
-  uint32_t Count = 1u << Elems.size();
+                          std::to_string(FreeStates.size()) + " states)");
+  clearSet(Sel);
+  uint32_t Count = 1u << FreeStates.size();
   for (uint32_t Bits = 0; Bits < Count; ++Bits) {
     // 2^|Free| emissions happen between two polls of the difference
     // engine's own budget hook, so a losing portfolio configuration could
@@ -89,164 +157,43 @@ void NcsbOracle::enumerateSplits(const StateSet &FreeSet, Fn Emit) {
     // enumeration is unsound; aborted() tells the caller to discard it.
     if (pollAbort())
       return;
-    SplitA.clear();
-    SplitB.clear();
-    for (size_t I = 0; I < Elems.size(); ++I) {
-      // Elems is sorted and scanned in order, so both splits come out
-      // sorted and duplicate-free, as assignUnion requires.
-      if (Bits & (1u << I))
-        SplitA.push_back(Elems[I]);
-      else
-        SplitB.push_back(Elems[I]);
+    // Sel holds FreeStates[I] iff bit I of Bits is set: the I-th smallest
+    // free state goes to the guessed set. Counting up clears the trailing
+    // ones and sets the bit above them.
+    if (Bits != 0) {
+      unsigned Low = static_cast<unsigned>(std::countr_zero(Bits));
+      for (unsigned I = 0; I < Low; ++I)
+        Sel[FreeStates[I] / 64] &= ~bitOf(FreeStates[I]);
+      Sel[FreeStates[Low] / 64] |= bitOf(FreeStates[Low]);
     }
-    Emit(SplitA, SplitB);
+    for (size_t I = 0; I < W; ++I) {
+      uint64_t Guess = Must[I] | Sel[I];
+      NextS[I] = MustS[I] | (Free[I] & ~Sel[I]);
+      if (RulesB) {
+        NextB[I] = Guess;
+        NextC[I] = Succ[I] & ~NextS[I]; // rule b5
+      } else {
+        NextC[I] = Guess;
+        NextB[I] = BEmpty ? Guess : Succ[I] & Guess; // B' = C' when B = {}
+      }
+    }
+    Out.push_back(Macro.internRef(Next));
   }
 }
 
-void NcsbOracle::successors(State S, Symbol Sym, std::vector<State> &Out) {
-  FaultInjector::hit(FaultSite::NcsbSuccessor);
-  // The arena-backed interner hands out stable references, so the
-  // macro-state can be read in place while intern() discovers successors.
-  const NcsbMacroState &M = Macro[S];
-  if (Variant == NcsbVariant::Original)
-    succOriginal(M, Sym, Out);
-  else
-    succLazy(M, Sym, Out);
-}
-
-void NcsbOracle::succOriginal(const NcsbMacroState &M, Symbol Sym,
-                              std::vector<State> &Out) {
-  // Definition 5.1. D = delta_t(N, a) cup delta_2(C cup S, a) must be
-  // partitioned into C' and S' with
-  //   S' supseteq delta_2(S, a)           (rule 4)
-  //   C' supseteq delta_2(C \ F, a)       (rule 5)
-  //   C' supseteq D cap F                 (S' is accepting-free)
-  deltaFromN(M.N, Sym, NPrime, T);
-  ScratchA.clear(); // delta2(C cup S) in one collect-then-normalize pass
-  for (State S : M.C.elems()) {
-    assert(In.inQ2(S) && "C must stay inside Q2");
-    In.A.successorsInto(S, Sym, ScratchA);
-  }
-  for (State S : M.S.elems()) {
-    assert(In.inQ2(S) && "S must stay inside Q2");
-    In.A.successorsInto(S, Sym, ScratchA);
-  }
-  Tmp1.assignNormalized(ScratchA);
-  D.assignUnion(T, Tmp1);
-
-  delta2Into(M.S, Sym, MustS);
-  if (anyAccepting(MustS))
-    return; // blocked: a safe run touched an accepting state
-  acceptingInto(M.C, Tmp1);          // C cap F
-  Tmp2.assignDifference(M.C, Tmp1);  // C \ F
-  delta2Into(Tmp2, Sym, Tmp1);       // delta2(C \ F)
-  acceptingInto(D, Tmp2);            // D cap F
-  Must2.assignUnion(Tmp1, Tmp2);     // MustC
-  if (Must2.intersects(MustS))
-    return; // blocked: rule 3 cannot hold
-
-  Tmp1.assignUnion(Must2, MustS);
-  Free.assignDifference(D, Tmp1);
-  bool BEmpty = M.B.empty();
-  if (BEmpty)
-    BSucc.clear();
-  else
-    delta2Into(M.B, Sym, BSucc);
-  ScratchNext.N = NPrime; // invariant across the splits
-  enumerateSplits(
-      Free, [&](const std::vector<State> &ToC, const std::vector<State> &ToS) {
-        ScratchNext.C.assignUnion(Must2, ToC);
-        ScratchNext.S.assignUnion(MustS, ToS);
-        if (BEmpty)
-          ScratchNext.B = ScratchNext.C;
-        else
-          ScratchNext.B.assignIntersection(BSucc, ScratchNext.C);
-        Out.push_back(Macro.internRef(ScratchNext));
-      });
-}
-
-void NcsbOracle::succLazy(const NcsbMacroState &M, Symbol Sym,
-                          std::vector<State> &Out) {
-  deltaFromN(M.N, Sym, NPrime, T);
-
-  if (M.B.empty()) {
-    // Rules a1-a6: like the original but with rule 5 removed -- on leaving
-    // an accepting macro-state, ALL postponed guesses are made at once.
-    ScratchA.clear(); // delta2(C cup S)
-    for (State S : M.C.elems()) {
-      assert(In.inQ2(S) && "C must stay inside Q2");
-      In.A.successorsInto(S, Sym, ScratchA);
-    }
-    for (State S : M.S.elems()) {
-      assert(In.inQ2(S) && "S must stay inside Q2");
-      In.A.successorsInto(S, Sym, ScratchA);
-    }
-    Tmp1.assignNormalized(ScratchA);
-    D.assignUnion(T, Tmp1);
-    delta2Into(M.S, Sym, MustS);
-    if (anyAccepting(MustS))
-      return;
-    acceptingInto(D, Must2); // MustC
-    if (Must2.intersects(MustS))
-      return;
-    Tmp1.assignUnion(Must2, MustS);
-    Free.assignDifference(D, Tmp1);
-    ScratchNext.N = NPrime;
-    enumerateSplits(Free, [&](const std::vector<State> &ToC,
-                              const std::vector<State> &ToS) {
-      ScratchNext.C.assignUnion(Must2, ToC);
-      ScratchNext.S.assignUnion(MustS, ToS);
-      ScratchNext.B = ScratchNext.C; // rule a6
-      Out.push_back(Macro.internRef(ScratchNext));
-    });
-    return;
-  }
-
-  // Rules b1-b6: only the successors of accepting states inside B may be
-  // guessed into S; C follows deterministically (rule b5).
-  ScratchA.clear(); // DB = delta2(B cup S)
-  for (State S : M.B.elems()) {
-    assert(In.inQ2(S) && "B must stay inside Q2");
-    In.A.successorsInto(S, Sym, ScratchA);
-  }
-  for (State S : M.S.elems()) {
-    assert(In.inQ2(S) && "S must stay inside Q2");
-    In.A.successorsInto(S, Sym, ScratchA);
-  }
-  D.assignNormalized(ScratchA); // D doubles as DB here
-  delta2Into(M.S, Sym, MustS);
-  if (anyAccepting(MustS))
-    return; // a safe run touched an accepting state
-  acceptingInto(M.B, Tmp1);          // B cap F
-  Tmp2.assignDifference(M.B, Tmp1);  // B \ F
-  delta2Into(Tmp2, Sym, Tmp1);       // delta2(B \ F)
-  acceptingInto(D, Tmp2);            // DB cap F
-  Must2.assignUnion(Tmp1, Tmp2);     // MustB
-  if (Must2.intersects(MustS))
-    return; // rule b3 cannot hold
-  Tmp1.assignUnion(Must2, MustS);
-  Free.assignDifference(D, Tmp1);
-  delta2Into(M.C, Sym, Tmp1);
-  CSucc.assignUnion(Tmp1, T); // delta2(C) cup T
-  ScratchNext.N = NPrime;
-  enumerateSplits(
-      Free, [&](const std::vector<State> &ToB, const std::vector<State> &ToS) {
-        ScratchNext.B.assignUnion(Must2, ToB);
-        ScratchNext.S.assignUnion(MustS, ToS);
-        ScratchNext.C.assignDifference(CSucc, ScratchNext.S); // rule b5
-        Out.push_back(Macro.internRef(ScratchNext));
-      });
+bool NcsbOracle::isAccepting(State Id) {
+  return isEmptySet(Macro[Id].part(3), W);
 }
 
 bool NcsbOracle::subsumedBy(State Sub, State Sup) const {
-  const NcsbMacroState &P = Macro[Sub];
-  const NcsbMacroState &R = Macro[Sup];
   // p [= r  iff  Np supseteq Nr, Cp supseteq Cr, Sp supseteq Sr (Eq. 4);
   // the lazy variant needs the stronger [=_B with Bp supseteq Br (Eq. 5,
-  // Theorem 6.4 and the Remark in Section 6.2).
-  if (!P.N.supersetOf(R.N) || !P.C.supersetOf(R.C) || !P.S.supersetOf(R.S))
-    return false;
-  if (Variant == NcsbVariant::Lazy && !P.B.supersetOf(R.B))
-    return false;
+  // Theorem 6.4 and the Remark in Section 6.2). The parts are contiguous,
+  // so either relation is one word-wise inclusion over a prefix.
+  const uint64_t *P = Macro[Sub].Words.data(), *R = Macro[Sup].Words.data();
+  size_t Words = (Variant == NcsbVariant::Lazy ? 4 : 3) * W;
+  for (size_t I = 0; I < Words; ++I)
+    if (R[I] & ~P[I])
+      return false;
   return true;
 }

@@ -21,6 +21,21 @@
 /// optimization 1) and implement the subsumption relations of Section 6
 /// ([= for Original, [=_B for Lazy) for the antichain-based emp set.
 ///
+/// Representation. A macro-state is four bitsets over the SDBA's states,
+/// W = ceil(|Q| / 64) words each, stored together in one word vector laid
+/// out N | C | S | B. The rules are word loops: delta of a set ORs in one
+/// bit per target of each member's CSR successor span (Buchi::
+/// successorsSpan), F and Q2 are masks built once per oracle, [= and [=_B
+/// are word-wise inclusion, and the interner hashes the words.
+///
+/// Ids and emission order do not depend on the representation. Ids are
+/// dense in first-intern order, and the splits of the free set are emitted
+/// in counter order, counter bit I sending the I-th smallest free state to
+/// the guessed set. So intern ids, successor order, and every complement
+/// and difference built from the oracle equal those of the sorted-set
+/// construction in tests/NcsbReference.h; ncsb_equivalence_test checks
+/// this id for id.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TERMCHECK_AUTOMATA_NCSB_H
@@ -36,26 +51,41 @@ namespace termcheck {
 /// Which NCSB variant to run.
 enum class NcsbVariant : uint8_t { Original, Lazy };
 
-/// An NCSB macro-state (N, C, S, B) with B subseteq C and S cap F = empty.
+/// An NCSB macro-state (N, C, S, B) with B subseteq C and S cap F = empty:
+/// four W-word bitsets stored as N | C | S | B.
 struct NcsbMacroState {
-  StateSet N, C, S, B;
+  std::vector<uint64_t> Words;
 
-  bool operator==(const NcsbMacroState &O) const {
-    return N == O.N && C == O.C && S == O.S && B == O.B;
-  }
+  /// Words per part.
+  size_t width() const { return Words.size() / 4; }
+  /// Part \p I (0 = N, 1 = C, 2 = S, 3 = B) as a pointer to its words.
+  const uint64_t *part(size_t I) const { return Words.data() + I * width(); }
+
+  // The parts decoded to sorted sets (tests, str()). Each returns a fresh
+  // value: bind it to a named local before iterating over its elems().
+  StateSet N() const { return decode(0); }
+  StateSet C() const { return decode(1); }
+  StateSet S() const { return decode(2); }
+  StateSet B() const { return decode(3); }
+
+  bool operator==(const NcsbMacroState &O) const { return Words == O.Words; }
 
   size_t hash() const {
-    size_t H = N.hash();
-    H = H * 0x100000001b3ULL ^ C.hash();
-    H = H * 0x100000001b3ULL ^ S.hash();
-    H = H * 0x100000001b3ULL ^ B.hash();
+    uint64_t H = 0x9e3779b97f4a7c15ULL;
+    for (uint64_t X : Words) {
+      H = (H ^ X) * 0xbf58476d1ce4e5b9ULL;
+      H ^= H >> 31;
+    }
     return H;
   }
 
   std::string str() const {
-    return "(" + N.str() + "," + C.str() + "," + S.str() + "," + B.str() +
-           ")";
+    return "(" + N().str() + "," + C().str() + "," + S().str() + "," +
+           B().str() + ")";
   }
+
+private:
+  StateSet decode(size_t Part) const;
 };
 
 /// NCSB complementation as a lazily-evaluated complement BA.
@@ -68,7 +98,7 @@ public:
   uint32_t numSymbols() const override { return In.A.numSymbols(); }
   std::vector<State> initialStates() override;
   void successors(State S, Symbol Sym, std::vector<State> &Out) override;
-  bool isAccepting(State S) override { return Macro[S].B.empty(); }
+  bool isAccepting(State S) override;
   size_t numStatesDiscovered() const override { return Macro.size(); }
 
   /// Section 6: [= (Original) ignores the B component; [=_B (Lazy)
@@ -83,40 +113,17 @@ public:
 private:
   const Sdba &In;
   NcsbVariant Variant;
+  size_t W; ///< words per bitset
+  std::vector<uint64_t> F, Q2; ///< accepting states, deterministic part
 
   Interner<NcsbMacroState> Macro;
 
-  /// Scratch hoisted out of the successor helpers. The StateSets are the
-  /// intermediate sets of Definition 5.1 / the lazy rules, overwritten in
-  /// place each expansion so their capacity is reused; ScratchNext is the
-  /// candidate macro-state probed against the interner, which copies it
-  /// into the arena only on a miss. Steady-state expansions (mostly
-  /// re-discovering interned macro-states) therefore allocate nothing.
-  std::vector<State> ScratchA, ScratchB;
-  std::vector<State> SplitA, SplitB;
-  StateSet NPrime, T, D, MustS, Must2, Free, BSucc, CSucc, Tmp1, Tmp2;
-  NcsbMacroState ScratchNext;
-
-  State intern(NcsbMacroState M) { return Macro.intern(std::move(M)); }
-
-  /// Out = deterministic-part successors of every state of \p X on \p Sym.
-  void delta2Into(const StateSet &X, Symbol Sym, StateSet &Out);
-  /// Splits delta(N, Sym) into its Q1 part (into \p N1) and Q2 part
-  /// (into \p T).
-  void deltaFromN(const StateSet &N, Symbol Sym, StateSet &N1, StateSet &T);
-  /// Out = the accepting states of \p X.
-  void acceptingInto(const StateSet &X, StateSet &Out);
-  /// \returns true when \p X contains an accepting state.
-  bool anyAccepting(const StateSet &X) const;
-
-  void succOriginal(const NcsbMacroState &M, Symbol Sym,
-                    std::vector<State> &Out);
-  void succLazy(const NcsbMacroState &M, Symbol Sym, std::vector<State> &Out);
-
-  /// Emits every two-way split of \p FreeSet as a pair of sorted vectors
-  /// (reused scratch; consume before the next emission).
-  template <typename Fn>
-  void enumerateSplits(const StateSet &FreeSet, Fn Emit);
+  /// Scratch bitsets of one expansion (W words each, overwritten in
+  /// place), the ascending free states, and the candidate successor probed
+  /// against the interner, which copies it into the arena only on a miss.
+  std::vector<uint64_t> T, D, MustS, Must, Free, Succ, Sel;
+  std::vector<State> FreeStates;
+  NcsbMacroState Next;
 };
 
 } // namespace termcheck

@@ -89,6 +89,25 @@ Buchi termcheck::randomDba(Rng &R, uint32_t NumStates, uint32_t NumSymbols,
   return A;
 }
 
+Buchi termcheck::scatterStates(Rng &R, const Buchi &A, uint32_t NumStates) {
+  assert(NumStates >= A.numStates() && "the injection needs room");
+  std::vector<State> Ids(NumStates);
+  for (State S = 0; S < NumStates; ++S)
+    Ids[S] = S;
+  for (State S = NumStates; S > 1; --S) // Fisher-Yates
+    std::swap(Ids[S - 1], Ids[R.below(S)]);
+  Buchi Out(A.numSymbols(), A.numConditions());
+  Out.addStates(NumStates);
+  for (State S = 0; S < A.numStates(); ++S) {
+    Out.setAcceptMask(Ids[S], A.acceptMask(S));
+    for (const Buchi::Arc &Arc : A.arcsFrom(S))
+      Out.addTransition(Ids[S], Arc.Sym, Ids[Arc.To]);
+  }
+  for (State S : A.initials().elems())
+    Out.addInitial(Ids[S]);
+  return Out;
+}
+
 LassoWord termcheck::randomLasso(Rng &R, uint32_t NumSymbols, uint32_t MaxStem,
                                  uint32_t MaxLoop) {
   assert(NumSymbols > 0 && MaxLoop > 0 && "loop cannot be empty");

@@ -47,6 +47,12 @@ Buchi randomSdba(Rng &R, uint32_t NumQ1, uint32_t NumQ2, uint32_t NumSymbols,
 Buchi randomDba(Rng &R, uint32_t NumStates, uint32_t NumSymbols,
                 uint32_t AcceptPercent = 30);
 
+/// Renames the states of \p A by a random injection into [0, \p NumStates)
+/// (NumStates >= A.numStates()); the unused ids are isolated states. A
+/// small automaton scattered this way keeps its language while its state
+/// sets straddle several 64-bit words.
+Buchi scatterStates(Rng &R, const Buchi &A, uint32_t NumStates);
+
 /// Samples a random ultimately periodic word u v^omega.
 LassoWord randomLasso(Rng &R, uint32_t NumSymbols, uint32_t MaxStem,
                       uint32_t MaxLoop);

@@ -39,10 +39,10 @@ TEST_P(NcsbTest, InitialMacroStateShape) {
   ASSERT_EQ(Inits.size(), 1u);
   const NcsbMacroState &M = O.macroState(Inits[0]);
   // The initial state of the DBA is accepting, hence in Q2: C = B = {q0}.
-  EXPECT_TRUE(M.N.empty());
-  EXPECT_EQ(M.C.size(), 1u);
-  EXPECT_EQ(M.B, M.C);
-  EXPECT_TRUE(M.S.empty());
+  EXPECT_TRUE(M.N().empty());
+  EXPECT_EQ(M.C().size(), 1u);
+  EXPECT_EQ(M.B(), M.C());
+  EXPECT_TRUE(M.S().empty());
 }
 
 TEST_P(NcsbTest, ComplementOfInfinitelyManyA) {
@@ -98,14 +98,16 @@ TEST_P(NcsbTest, MacroStateInvariants) {
   (void)C;
   for (State Id = 0; Id < O.numStatesDiscovered(); ++Id) {
     const NcsbMacroState &M = O.macroState(static_cast<State>(Id));
+    // The decoded parts are values: bind each to a local before iterating.
+    StateSet MN = M.N(), MC = M.C(), MS = M.S(), MB = M.B();
     // B subseteq C (Definition 5.1) and S avoids accepting states.
-    EXPECT_TRUE(M.B.subsetOf(M.C));
-    for (State Q : M.S.elems())
+    EXPECT_TRUE(MB.subsetOf(MC));
+    for (State Q : MS.elems())
       EXPECT_FALSE(S->isAccepting(Q));
     // N stays in Q1; C, S, B stay in Q2.
-    for (State Q : M.N.elems())
+    for (State Q : MN.elems())
       EXPECT_FALSE(S->inQ2(Q));
-    StateSet CS = M.C.unionWith(M.S);
+    StateSet CS = MC.unionWith(MS);
     for (State Q : CS.elems())
       EXPECT_TRUE(S->inQ2(Q));
   }

@@ -161,9 +161,9 @@ TEST(EarlySimulation, Lemma62SubsumptionIsEarlySimulation) {
           continue;
         const NcsbMacroState &MP = O.macroState(P);
         const NcsbMacroState &MQ = O.macroState(Q);
-        bool Sub = MP.N.supersetOf(MQ.N) && MP.C.supersetOf(MQ.C) &&
-                   MP.S.supersetOf(MQ.S);
-        bool SubB = Sub && MP.B.supersetOf(MQ.B);
+        bool Sub = MP.N().supersetOf(MQ.N()) && MP.C().supersetOf(MQ.C()) &&
+                   MP.S().supersetOf(MQ.S());
+        bool SubB = Sub && MP.B().supersetOf(MQ.B());
         if (Sub) {
           EXPECT_TRUE(Plus1.simulates(P, Q))
               << "Lemma 6.2 (14) violated: " << MP.str() << " [= "
