@@ -15,12 +15,28 @@
 /// Every engine in the refinement loop funnels through per-(state, symbol)
 /// successor queries, so transitions are indexed by a compressed-sparse-row
 /// table keyed by (state, symbol). The index is built lazily on first
-/// query and invalidated by mutation; addTransition is an O(1) append
-/// (duplicates are removed at index-build time, preserving first-occurrence
-/// order, so construction-order determinism is unchanged). The lazily
-/// rebuilt caches make the const accessors non-reentrant for a *first*
-/// query from two threads at once; call ensureIndex() before sharing a
-/// const Buchi across threads (nothing in the tree shares one today).
+/// query and invalidated by mutation.
+///
+/// Storage is flat: no container per state. The compacted rows live in one
+/// `Arcs` array, row S at `Arcs[RowStart[S] .. RowStart[S+1])`, deduplicated
+/// in first-insertion order. `addTransition` is a plain append to a pending
+/// log of (From, Arc), and `addState` only grows the flat acceptance array.
+/// The first read after a mutation compacts the whole log into the rows: a
+/// stable counting sort by source appends each state's pending arcs after
+/// its row, and the rows that received arcs then drop repeated arcs,
+/// keeping the first occurrence. Order and dedup are those of an eager
+/// first-occurrence dedup in addTransition, so construction-order
+/// determinism does not depend on when reads happen. Because every read
+/// compacts everything, only the first read after a mutation moves the
+/// rows: a row span handed out by arcsFrom stays valid until the automaton
+/// is next mutated. A loop that reads the automaton it appends to
+/// therefore compacts once per round; collect the arcs first and append
+/// them after the reads.
+///
+/// The lazily rebuilt rows and index make the const accessors
+/// non-reentrant for a *first* query from two threads at once; call
+/// ensureIndex() before sharing a const Buchi across threads (nothing in
+/// the tree shares one today).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +47,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,14 +76,13 @@ public:
 
   uint32_t numSymbols() const { return Symbols; }
   uint32_t numConditions() const { return Conditions; }
-  uint32_t numStates() const { return static_cast<uint32_t>(Adj.size()); }
+  uint32_t numStates() const {
+    return static_cast<uint32_t>(AcceptMask.size());
+  }
 
   size_t numTransitions() const {
-    flushDedup();
-    size_t N = 0;
-    for (const auto &Arcs : Adj)
-      N += Arcs.size();
-    return N;
+    compact();
+    return Arcs.size();
   }
 
   /// Bitmask with one bit per acceptance condition.
@@ -75,9 +91,7 @@ public:
   }
 
   State addState() {
-    Adj.emplace_back();
     AcceptMask.push_back(0);
-    Dirty.push_back(false);
     IndexValid = false; // the CSR row table is sized by numStates
     return numStates() - 1;
   }
@@ -85,8 +99,8 @@ public:
   /// Adds \p N fresh states, returning the first id.
   State addStates(uint32_t N) {
     State First = numStates();
-    for (uint32_t I = 0; I < N; ++I)
-      addState();
+    AcceptMask.resize(First + N, 0);
+    IndexValid = false;
     return First;
   }
 
@@ -116,24 +130,24 @@ public:
   /// \returns true when \p S is in every acceptance set.
   bool isAcceptingAll(State S) const { return acceptMask(S) == fullMask(); }
 
-  /// Adds the transition. O(1): duplicates are deduplicated lazily (first
-  /// occurrence wins) when the adjacency is next observed.
+  /// Adds the transition. O(1): an append to the pending log; duplicates
+  /// are dropped (first occurrence wins) when the rows are next compacted.
   void addTransition(State From, Symbol Sym, State To) {
     assert(From < numStates() && To < numStates() && Sym < Symbols &&
            "transition out of range");
-    Adj[From].push_back({Sym, To});
-    if (!Dirty[From]) {
-      Dirty[From] = true;
-      DirtyStates.push_back(From);
-    }
+    Log.push_back({From, {Sym, To}});
     IndexValid = false;
   }
 
-  /// The deduplicated out-arcs of \p S in first-insertion order.
-  const std::vector<Arc> &arcsFrom(State S) const {
+  /// The deduplicated out-arcs of \p S in first-insertion order. Compacts
+  /// the pending log first; the span is valid until the automaton is next
+  /// mutated.
+  std::span<const Arc> arcsFrom(State S) const {
     assert(S < numStates() && "unknown state");
-    flushDedup();
-    return Adj[S];
+    compact();
+    if (S + 1 >= RowStart.size())
+      return {}; // added after the last compaction, and no arcs since
+    return {Arcs.data() + RowStart[S], Arcs.data() + RowStart[S + 1]};
   }
 
   /// Half-open range of the \p Sym-successors of \p S, in first-insertion
@@ -173,12 +187,21 @@ public:
   StateSet post(State S) const {
     // Collect then normalize once: repeated sorted insertion is O(d^2) for
     // high-out-degree states.
-    const std::vector<Arc> &Arcs = arcsFrom(S);
+    std::span<const Arc> Row = arcsFrom(S);
     std::vector<State> Out;
-    Out.reserve(Arcs.size());
-    for (const Arc &A : Arcs)
+    Out.reserve(Row.size());
+    for (const Arc &A : Row)
       Out.push_back(A.To);
     return StateSet(std::move(Out));
+  }
+
+  /// Folds the pending log into the rows now. Reads do this on demand;
+  /// builders call it so that the work lands in the construction and the
+  /// returned automaton's reads move nothing. The common "nothing pending"
+  /// case stays inline: reads sit in fixpoint loops.
+  void compact() const {
+    if (!Log.empty())
+      compactSlow();
   }
 
   /// Builds the (state, symbol) CSR successor index now if it is stale.
@@ -203,18 +226,25 @@ public:
   std::string str() const;
 
 private:
+  /// One logged addTransition, not yet compacted into the rows.
+  struct PendingArc {
+    State From;
+    Arc A;
+  };
+
   uint32_t Symbols;
   uint32_t Conditions;
-  /// Raw adjacency in insertion order; may transiently hold duplicates
-  /// until flushDedup() runs (mutable: dedup and the CSR are lazy caches
-  /// refreshed from const accessors).
-  mutable std::vector<std::vector<Arc>> Adj;
   std::vector<uint64_t> AcceptMask;
   StateSet Initial;
 
-  /// States with arcs appended since the last dedup flush.
-  mutable std::vector<bool> Dirty;
-  mutable std::vector<State> DirtyStates;
+  // Mutable: compaction and the CSR are lazy caches refreshed from const
+  // accessors.
+  /// The compacted rows, deduplicated, in first-insertion order. RowStart
+  /// has one entry per state known at the last compaction, plus one.
+  mutable std::vector<Arc> Arcs;
+  mutable std::vector<uint32_t> RowStart;
+  /// Arcs added since the last compaction, in insertion order.
+  mutable std::vector<PendingArc> Log;
 
   /// CSR over (state, symbol): row r = S * Symbols + Sym holds the targets
   /// Targets[Row[r] .. Row[r+1]) in first-insertion order.
@@ -225,15 +255,7 @@ private:
   mutable CsrIndex Csr;
   mutable bool IndexValid = false;
 
-  /// Deduplicates the adjacency of every dirty state, keeping the first
-  /// occurrence of each (Sym, To) in insertion order. The common "nothing
-  /// pending" case must stay inline: arcsFrom sits in N^2 fixpoint loops.
-  void flushDedup() const {
-    if (!DirtyStates.empty())
-      flushDedupSlow();
-  }
-
-  void flushDedupSlow() const;
+  void compactSlow() const;
 
   void buildIndex() const;
 };

@@ -44,5 +44,6 @@ Buchi ComplementOracle::materialize() {
         Out.addTransition(From, Sym, Intern(T));
     }
   }
+  Out.compact(); // row placement and dedup belong to the construction
   return Out;
 }

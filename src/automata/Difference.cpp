@@ -19,9 +19,11 @@ namespace {
 /// The on-the-fly product A x B-bar as a GbaSource. Product states are
 /// interned (aState, cState) pairs; arcs are memoized because Algorithm 1
 /// asks for them once per expansion and the materialization step asks
-/// again. Both the pair index and the arc memo are flat, state-indexed
-/// structures: product ids are dense, so a hash map per lookup is pure
-/// overhead on this hot path.
+/// again. Both the pair index and the arc memo are flat: product ids are
+/// dense, and every memoized arc lives in one pool, state S's arcs at
+/// Pool[Rows[S].Begin .. Rows[S].End). A state's arcs are contiguous
+/// because they are appended in one go when it is first expanded: the
+/// oracle never re-enters the product mid-expansion.
 class ProductSource : public GbaSource {
 public:
   ProductSource(const Buchi &A, ComplementOracle &BC) : A(A), BC(BC) {
@@ -46,46 +48,49 @@ public:
   }
 
   void arcs(State S, std::vector<Buchi::Arc> &Out) override {
-    if (S < ArcCached.size() && ArcCached[S]) {
-      const std::vector<Buchi::Arc> &Hit = ArcCache[S];
-      Out.insert(Out.end(), Hit.begin(), Hit.end());
+    if (S < Rows.size() && Rows[S].Begin != Unexpanded) {
+      Out.insert(Out.end(), Pool.begin() + Rows[S].Begin,
+                 Pool.begin() + Rows[S].End);
       return;
     }
     FaultInjector::hit(FaultSite::DifferenceExpand);
-    std::vector<Buchi::Arc> Arcs;
+    const uint32_t Begin = static_cast<uint32_t>(Pool.size());
     auto [P, Q] = Pairs.get(S);
     for (const Buchi::Arc &ArcA : A.arcsFrom(P)) {
       SuccBuf.clear();
       BC.successors(Q, ArcA.Sym, SuccBuf);
       for (State CTo : SuccBuf)
-        Arcs.push_back({ArcA.Sym, intern(ArcA.To, CTo)});
+        Pool.push_back({ArcA.Sym, intern(ArcA.To, CTo)});
     }
-    Out.insert(Out.end(), Arcs.begin(), Arcs.end());
+    assert(Pool.size() < Unexpanded && "arc pool offsets are 32-bit");
+    const uint32_t End = static_cast<uint32_t>(Pool.size());
+    Out.insert(Out.end(), Pool.begin() + Begin, Pool.begin() + End);
     // intern() above may have discovered fresh states; size the memo after.
-    if (ArcCache.size() < Pairs.size()) {
-      ArcCache.resize(Pairs.size());
-      ArcCached.resize(Pairs.size(), false);
-    }
-    MemoizedArcs += Arcs.size();
-    perf::local().ArcsMemoized += Arcs.size();
-    ArcCache[S] = std::move(Arcs);
-    ArcCached[S] = true;
+    if (Rows.size() < Pairs.size())
+      Rows.resize(Pairs.size(), {Unexpanded, Unexpanded});
+    Rows[S] = {Begin, End};
+    perf::local().ArcsMemoized += End - Begin;
   }
 
   /// Decodes a product id.
   std::pair<State, State> decode(State S) const { return Pairs.get(S); }
 
   size_t numProductStates() const { return Pairs.size(); }
-  size_t numArcsMemoized() const { return MemoizedArcs; }
+  size_t numArcsMemoized() const { return Pool.size(); }
 
 private:
+  /// A product state's slice of the pool; Begin = Unexpanded until then.
+  struct ArcRange {
+    uint32_t Begin, End;
+  };
+  static constexpr uint32_t Unexpanded = ~uint32_t(0);
+
   const Buchi &A;
   ComplementOracle &BC;
   PairInterner Pairs;
-  std::vector<std::vector<Buchi::Arc>> ArcCache;
-  std::vector<bool> ArcCached;
+  std::vector<Buchi::Arc> Pool;
+  std::vector<ArcRange> Rows;
   std::vector<State> SuccBuf; // scratch for one oracle successor query
-  size_t MemoizedArcs = 0;
 
   State intern(State P, State Q) { return Pairs.intern(P, Q).first; }
 };
@@ -246,6 +251,7 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
     if (Map[S] != NotUseful)
       Out.D.addInitial(Map[S]);
   }
+  Out.D.compact();
   Out.ArcsMemoized = Src.numArcsMemoized();
   ChargeGuard();
   return Out;

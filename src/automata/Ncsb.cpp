@@ -47,7 +47,8 @@ StateSet NcsbMacroState::decode(size_t Part) const {
 
 NcsbOracle::NcsbOracle(const Sdba &In, NcsbVariant Variant)
     : In(In), Variant(Variant), W((In.A.numStates() + 63) / 64), F(W),
-      Q2(W), T(W), D(W), MustS(W), Must(W), Free(W), Succ(W), Sel(W) {
+      Q2(W), Macro(4 * W), Cur(4 * W), T(W), D(W), MustS(W), Must(W),
+      Free(W), Succ(W), Sel(W), Next(4 * W) {
   assert(In.A.isComplete() && "NCSB expects a complete SDBA");
   In.A.ensureIndex(); // one build up front; the input never mutates
   for (State Q = 0; Q < In.A.numStates(); ++Q) {
@@ -56,31 +57,28 @@ NcsbOracle::NcsbOracle(const Sdba &In, NcsbVariant Variant)
     if (In.inQ2(Q))
       Q2[Q / 64] |= bitOf(Q);
   }
-  Next.Words.resize(4 * W);
 }
 
 std::vector<State> NcsbOracle::initialStates() {
   // (Q1 cap QI, Q2 cap QI, empty, Q2 cap QI), Definition 5.1.
-  NcsbMacroState M;
-  M.Words.assign(4 * W, 0);
+  clearSet(Next);
   for (State Q : In.A.initials().elems()) {
     if (In.inQ2(Q)) {
-      M.Words[W + Q / 64] |= bitOf(Q);
-      M.Words[3 * W + Q / 64] |= bitOf(Q);
+      Next[W + Q / 64] |= bitOf(Q);
+      Next[3 * W + Q / 64] |= bitOf(Q);
     } else {
-      M.Words[Q / 64] |= bitOf(Q);
+      Next[Q / 64] |= bitOf(Q);
     }
   }
-  return {Macro.intern(std::move(M))};
+  return {Macro.intern(Next.data())};
 }
 
 void NcsbOracle::successors(State Id, Symbol Sym, std::vector<State> &Out) {
   FaultInjector::hit(FaultSite::NcsbSuccessor);
-  // The arena-backed interner hands out stable references, so the
-  // macro-state can be read in place while internRef discovers successors.
-  const NcsbMacroState &M = Macro[Id];
-  const uint64_t *N = M.part(0), *C = M.part(1), *S = M.part(2),
-                 *B = M.part(3);
+  // Interning a successor may grow the word arena and move the expanded
+  // macro-state, so read it from a copy.
+  std::copy_n(Macro.words(Id), 4 * W, Cur.begin());
+  const uint64_t *N = Cur.data(), *C = N + W, *S = C + W, *B = S + W;
   bool Lazy = Variant == NcsbVariant::Lazy;
   bool BEmpty = isEmptySet(B, W);
   // Definition 5.1 and the lazy rules a1-a6 guess the successors of C.
@@ -115,7 +113,7 @@ void NcsbOracle::successors(State Id, Symbol Sym, std::vector<State> &Out) {
   Post([N](size_t I) { return N[I]; }, T);
   Post([&](size_t I) { return G[I] & ~F[I]; }, Lazy && BEmpty ? D : Must);
   Post([&](size_t I) { return G[I] & F[I]; }, D);
-  uint64_t *NextN = Next.Words.data(), *NextC = NextN + W,
+  uint64_t *NextN = Next.data(), *NextC = NextN + W,
            *NextS = NextC + W, *NextB = NextS + W;
   for (size_t I = 0; I < W; ++I) {
     NextN[I] = T[I] & ~Q2[I]; // N' = delta(N) cap Q1, fixed across splits
@@ -177,12 +175,12 @@ void NcsbOracle::successors(State Id, Symbol Sym, std::vector<State> &Out) {
         NextB[I] = BEmpty ? Guess : Succ[I] & Guess; // B' = C' when B = {}
       }
     }
-    Out.push_back(Macro.internRef(Next));
+    Out.push_back(Macro.intern(Next.data()));
   }
 }
 
 bool NcsbOracle::isAccepting(State Id) {
-  return isEmptySet(Macro[Id].part(3), W);
+  return isEmptySet(Macro.words(Id) + 3 * W, W);
 }
 
 bool NcsbOracle::subsumedBy(State Sub, State Sup) const {
@@ -190,7 +188,7 @@ bool NcsbOracle::subsumedBy(State Sub, State Sup) const {
   // the lazy variant needs the stronger [=_B with Bp supseteq Br (Eq. 5,
   // Theorem 6.4 and the Remark in Section 6.2). The parts are contiguous,
   // so either relation is one word-wise inclusion over a prefix.
-  const uint64_t *P = Macro[Sub].Words.data(), *R = Macro[Sup].Words.data();
+  const uint64_t *P = Macro.words(Sub), *R = Macro.words(Sup);
   size_t Words = (Variant == NcsbVariant::Lazy ? 4 : 3) * W;
   for (size_t I = 0; I < Words; ++I)
     if (R[I] & ~P[I])

@@ -22,11 +22,13 @@
 /// ([= for Original, [=_B for Lazy) for the antichain-based emp set.
 ///
 /// Representation. A macro-state is four bitsets over the SDBA's states,
-/// W = ceil(|Q| / 64) words each, stored together in one word vector laid
-/// out N | C | S | B. The rules are word loops: delta of a set ORs in one
-/// bit per target of each member's CSR successor span (Buchi::
-/// successorsSpan), F and Q2 are masks built once per oracle, [= and [=_B
-/// are word-wise inclusion, and the interner hashes the words.
+/// W = ceil(|Q| / 64) words each, laid out N | C | S | B. The oracle keeps
+/// every interned macro-state in one word arena (WordInterner), the 4W
+/// words of id I at offset 4W * I, so no macro-state owns heap memory. The
+/// rules are word loops: delta of a set ORs in one bit per target of each
+/// member's CSR successor span (Buchi::successorsSpan), F and Q2 are masks
+/// built once per oracle, [= and [=_B are word-wise inclusion, and the
+/// interner hashes the words.
 ///
 /// Ids and emission order do not depend on the representation. Ids are
 /// dense in first-intern order, and the splits of the free set are emitted
@@ -52,7 +54,9 @@ namespace termcheck {
 enum class NcsbVariant : uint8_t { Original, Lazy };
 
 /// An NCSB macro-state (N, C, S, B) with B subseteq C and S cap F = empty:
-/// four W-word bitsets stored as N | C | S | B.
+/// four W-word bitsets stored as N | C | S | B. The oracle stores its
+/// macro-states in a word arena; this is the decoded copy it hands out
+/// for tests and str().
 struct NcsbMacroState {
   std::vector<uint64_t> Words;
 
@@ -67,17 +71,6 @@ struct NcsbMacroState {
   StateSet C() const { return decode(1); }
   StateSet S() const { return decode(2); }
   StateSet B() const { return decode(3); }
-
-  bool operator==(const NcsbMacroState &O) const { return Words == O.Words; }
-
-  size_t hash() const {
-    uint64_t H = 0x9e3779b97f4a7c15ULL;
-    for (uint64_t X : Words) {
-      H = (H ^ X) * 0xbf58476d1ce4e5b9ULL;
-      H ^= H >> 31;
-    }
-    return H;
-  }
 
   std::string str() const {
     return "(" + N().str() + "," + C().str() + "," + S().str() + "," +
@@ -106,9 +99,12 @@ public:
   /// component-wise superset of Sub over Sup.
   bool subsumedBy(State Sub, State Sup) const override;
 
-  /// The interned macro-state behind a dense id (tests, debugging). The
-  /// reference is stable across later discoveries (arena-backed interner).
-  const NcsbMacroState &macroState(State S) const { return Macro[S]; }
+  /// A copy of the interned macro-state behind a dense id (tests,
+  /// debugging).
+  NcsbMacroState macroState(State S) const {
+    const uint64_t *X = Macro.words(S);
+    return {std::vector<uint64_t>(X, X + 4 * W)};
+  }
 
 private:
   const Sdba &In;
@@ -116,14 +112,14 @@ private:
   size_t W; ///< words per bitset
   std::vector<uint64_t> F, Q2; ///< accepting states, deterministic part
 
-  Interner<NcsbMacroState> Macro;
+  WordInterner Macro; ///< 4W words per macro-state
 
-  /// Scratch bitsets of one expansion (W words each, overwritten in
-  /// place), the ascending free states, and the candidate successor probed
-  /// against the interner, which copies it into the arena only on a miss.
-  std::vector<uint64_t> T, D, MustS, Must, Free, Succ, Sel;
+  /// Scratch of one expansion, overwritten in place: the expanded
+  /// macro-state (copied out of the arena, which may grow while its
+  /// successors are interned), W-word bitsets, the ascending free states,
+  /// and the candidate successor probed against the interner.
+  std::vector<uint64_t> Cur, T, D, MustS, Must, Free, Succ, Sel, Next;
   std::vector<State> FreeStates;
-  NcsbMacroState Next;
 };
 
 } // namespace termcheck

@@ -7,7 +7,7 @@
 /// \file
 /// Thread-local counters for the automata hot paths: CSR transition-index
 /// rebuilds (Buchi), macro-state intern-table hits/misses (Interner), and
-/// product arcs memoized (the difference engine's per-state arc memo).
+/// product arcs memoized (the difference engine's arc pool).
 ///
 /// They are thread-local rather than per-object because the structures that
 /// bump them (every Buchi, every oracle's intern table) are created and
@@ -37,7 +37,7 @@ struct Counters {
   uint64_t InternHits = 0;
   /// Intern-table lookups that created a fresh macro-state.
   uint64_t InternMisses = 0;
-  /// Product arcs stored in the difference engine's per-state memo.
+  /// Product arcs stored in the difference engine's arc pool.
   uint64_t ArcsMemoized = 0;
 };
 

@@ -242,18 +242,18 @@ std::string LassoWord::str() const {
 namespace {
 
 /// DFS frame over an explicit automaton: the state plus a cursor into its
-/// arc row. arcsFrom's row reference is stable while no state is added,
-/// which the Tarjan search below guarantees, so the span is cached once at
-/// push and the frame stack never allocates once its capacity is warm.
+/// arc row. The row span stays valid while the automaton is not mutated,
+/// which the Tarjan search below guarantees, so it is cached once at push
+/// and the frame stack never allocates once its capacity is warm.
 struct ExplicitArcFrame {
   State S;
   const Buchi::Arc *Cur;
   const Buchi::Arc *End;
 
   ExplicitArcFrame(const Buchi &A, State S) : S(S) {
-    const std::vector<Buchi::Arc> &Arcs = A.arcsFrom(S);
-    Cur = Arcs.data();
-    End = Cur + Arcs.size();
+    std::span<const Buchi::Arc> Row = A.arcsFrom(S);
+    Cur = Row.data();
+    End = Cur + Row.size();
   }
 
   bool done() const { return Cur == End; }

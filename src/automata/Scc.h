@@ -63,8 +63,8 @@ public:
   }
   uint64_t acceptMask(State S) override { return A.acceptMask(S); }
   void arcs(State S, std::vector<Buchi::Arc> &Out) override {
-    const auto &Arcs = A.arcsFrom(S);
-    Out.insert(Out.end(), Arcs.begin(), Arcs.end());
+    std::span<const Buchi::Arc> Row = A.arcsFrom(S);
+    Out.insert(Out.end(), Row.begin(), Row.end());
   }
 
 private:

@@ -120,15 +120,20 @@ std::optional<Sdba> termcheck::prepareSdba(const Buchi &Input) {
       A.addTransition(Slot, Sym, Slot);
     return Slot;
   };
-  uint32_t OriginalStates = A.numStates();
-  for (State S = 0; S < OriginalStates; ++S) {
-    std::vector<bool> Has(A.numSymbols(), false);
+  // The missing (state, symbol) pairs are collected before any sink arc
+  // is added: each read after an append would compact A's rows again.
+  std::vector<std::pair<State, Symbol>> Missing;
+  std::vector<bool> Has;
+  for (State S = 0; S < A.numStates(); ++S) {
+    Has.assign(A.numSymbols(), false);
     for (const Buchi::Arc &Arc : A.arcsFrom(S))
       Has[Arc.Sym] = true;
     for (Symbol Sym = 0; Sym < A.numSymbols(); ++Sym)
       if (!Has[Sym])
-        A.addTransition(S, Sym, Sink(InQ2[S]));
+        Missing.push_back({S, Sym});
   }
+  for (auto [S, Sym] : Missing)
+    A.addTransition(S, Sym, Sink(InQ2[S]));
 
   Sdba Out{std::move(A), std::move(InQ2)};
   assert(classifySdba(Out.A).IsSemideterministic &&

@@ -363,9 +363,9 @@ std::string ModuleCache::serializeModule(const CertifiedModule &M,
   for (State S = 0; S < A.numStates(); ++S)
     putU64(Payload, A.acceptMask(S));
   for (State S = 0; S < A.numStates(); ++S) {
-    const std::vector<Buchi::Arc> &Arcs = A.arcsFrom(S);
-    putU32(Payload, static_cast<uint32_t>(Arcs.size()));
-    for (const Buchi::Arc &Arc : Arcs) {
+    std::span<const Buchi::Arc> Row = A.arcsFrom(S);
+    putU32(Payload, static_cast<uint32_t>(Row.size()));
+    for (const Buchi::Arc &Arc : Row) {
       putU32(Payload, Arc.Sym);
       putU32(Payload, Arc.To);
     }

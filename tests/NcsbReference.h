@@ -223,7 +223,7 @@ private:
         ScratchNext.B = ScratchNext.C;
       else
         ScratchNext.B.assignIntersection(BSucc, ScratchNext.C);
-      Out.push_back(Macro.internRef(ScratchNext));
+      Out.push_back(Macro.intern(ScratchNext));
     });
   }
 
@@ -258,7 +258,7 @@ private:
         ScratchNext.C.assignUnion(Must2, ToC);
         ScratchNext.S.assignUnion(MustS, ToS);
         ScratchNext.B = ScratchNext.C; // rule a6
-        Out.push_back(Macro.internRef(ScratchNext));
+        Out.push_back(Macro.intern(ScratchNext));
       });
       return;
     }
@@ -295,7 +295,7 @@ private:
       ScratchNext.B.assignUnion(Must2, ToB);
       ScratchNext.S.assignUnion(MustS, ToS);
       ScratchNext.C.assignDifference(CSucc, ScratchNext.S); // rule b5
-      Out.push_back(Macro.internRef(ScratchNext));
+      Out.push_back(Macro.intern(ScratchNext));
     });
   }
 };

@@ -29,9 +29,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 
 using namespace termcheck;
@@ -74,7 +76,8 @@ struct ReferenceAdjacency {
 
 void expectSameSuccessors(const Buchi &A, const ReferenceAdjacency &Ref) {
   for (State S = 0; S < A.numStates(); ++S) {
-    EXPECT_EQ(A.arcsFrom(S), Ref.Arcs[S]) << "arc list of q" << S;
+    EXPECT_TRUE(std::ranges::equal(A.arcsFrom(S), Ref.Arcs[S]))
+        << "arc list of q" << S;
     for (Symbol Sym = 0; Sym < A.numSymbols(); ++Sym) {
       std::vector<State> Want = Ref.successors(S, Sym);
       EXPECT_EQ(A.successors(S, Sym), Want);
@@ -105,7 +108,8 @@ TEST(CsrIndex, MatchesNaiveReferenceWithDuplicatesAndInterleavedQueries) {
       Ref.addState();
     }
     // Insert with deliberate duplicates; query mid-build so the index is
-    // invalidated and rebuilt several times per automaton.
+    // invalidated and rebuilt and the pending arcs are compacted several
+    // times per automaton.
     size_t Inserts = 4 + R.below(6 * N);
     for (size_t I = 0; I < Inserts; ++I) {
       State From = static_cast<State>(R.below(N));
@@ -115,6 +119,29 @@ TEST(CsrIndex, MatchesNaiveReferenceWithDuplicatesAndInterleavedQueries) {
       Ref.addTransition(From, Sym, To);
       if (R.below(4) == 0) // duplicate the arc we just added
         A.addTransition(From, Sym, To);
+      if (R.below(5) == 0) {
+        // Re-add an arc that may already sit in a compacted row: its first
+        // occurrence must keep its place.
+        State Old = static_cast<State>(R.below(N));
+        if (!Ref.Arcs[Old].empty()) {
+          const Buchi::Arc &Again =
+              Ref.Arcs[Old][R.below(Ref.Arcs[Old].size())];
+          A.addTransition(Old, Again.Sym, Again.To);
+        }
+      }
+      if (R.below(6) == 0) {
+        // A state added after the last compaction, with no arcs yet.
+        A.addState();
+        Ref.addState();
+        ++N;
+        EXPECT_TRUE(A.arcsFrom(N - 1).empty());
+      }
+      if (R.below(3) == 0) {
+        // One state's row while other states still have pending arcs.
+        State S = static_cast<State>(R.below(N));
+        EXPECT_TRUE(std::ranges::equal(A.arcsFrom(S), Ref.Arcs[S]))
+            << "arc list of q" << S;
+      }
       if (R.below(3) == 0)
         expectSameSuccessors(A, Ref);
     }
@@ -137,9 +164,40 @@ TEST(CsrIndex, DedupKeepsFirstOccurrenceOrder) {
   A.addTransition(0, 1, 0);
   A.addTransition(0, 0, 1); // duplicate again
   std::vector<Buchi::Arc> Want{{1, 2}, {0, 1}, {1, 0}};
-  EXPECT_EQ(A.arcsFrom(0), Want);
+  EXPECT_TRUE(std::ranges::equal(A.arcsFrom(0), Want));
   EXPECT_EQ(A.successors(0, 1), (std::vector<State>{2, 0}));
   EXPECT_EQ(A.numTransitions(), 3u);
+}
+
+TEST(CsrIndex, RowSpansSurviveEveryReadUntilTheNextMutation) {
+  // Read a row, then append to another state: every read afterwards must
+  // compact the whole log at once, so a row span taken during the search
+  // is not moved by the reads that follow it. sccDecompose keeps one span
+  // per DFS frame.
+  Buchi A(1);
+  A.addStates(3);
+  A.addTransition(0, 0, 1);
+  A.addTransition(0, 0, 2);
+  A.addInitial(0);
+  EXPECT_EQ(A.arcsFrom(0).size(), 2u);
+  A.addTransition(1, 0, 0);
+  SccDecomposition D = sccDecompose(A);
+  EXPECT_EQ(D.NumComps, 2u);
+  EXPECT_TRUE(D.sameComponent(0, 1));
+  EXPECT_FALSE(D.sameComponent(0, 2));
+  EXPECT_GE(D.CompOf[2], 0);
+
+  // The same with spans held directly: reads of other rows, the index and
+  // the totals leave an earlier span in place.
+  A.addTransition(2, 0, 2);
+  A.addTransition(1, 0, 2);
+  std::span<const Buchi::Arc> Row0 = A.arcsFrom(0);
+  std::vector<Buchi::Arc> Copy(Row0.begin(), Row0.end());
+  EXPECT_EQ(A.arcsFrom(1).size(), 2u);
+  EXPECT_EQ(A.successors(2, 0), (std::vector<State>{2}));
+  EXPECT_EQ(A.numTransitions(), 5u);
+  EXPECT_EQ(Row0.data(), A.arcsFrom(0).data());
+  EXPECT_TRUE(std::ranges::equal(Row0, Copy));
 }
 
 //===----------------------------------------------------------------------===//
@@ -165,9 +223,9 @@ TEST(InternerEquivalence, IdsMatchFirstInternOrderReferenceMap) {
         Ref.emplace(V.elems(), static_cast<State>(Ref.size()));
     if (Inserted)
       ById.push_back(V);
-    // intern() and internRef() must agree with each other and with the
-    // reference: dense ids in first-intern order.
-    State Id = R.below(2) == 0 ? Table.intern(V) : Table.internRef(V);
+    // intern() must agree with the reference: dense ids in first-intern
+    // order.
+    State Id = Table.intern(V);
     EXPECT_EQ(Id, It->second);
     EXPECT_TRUE(Table[Id] == V);
   }
@@ -190,7 +248,27 @@ TEST(InternerEquivalence, ReferencesStayStableAcrossArenaGrowth) {
     Table.intern(std::move(V));
   }
   EXPECT_TRUE(Pinned == First) << "arena growth moved an interned value";
-  EXPECT_EQ(Table.internRef(First), FirstId);
+  EXPECT_EQ(Table.intern(First), FirstId);
+}
+
+TEST(InternerEquivalence, WordInternerIdsMatchReferenceMapAcrossGrowth) {
+  // Width 3, values drawn from a small space so hits and misses mix; the
+  // word arena and the id table both grow many times.
+  Rng R(0x1E70003);
+  WordInterner Table(3);
+  std::map<std::vector<uint64_t>, State> Ref;
+  std::vector<std::vector<uint64_t>> ById;
+  for (int I = 0; I < 6000; ++I) {
+    std::vector<uint64_t> V{R.below(16), R.below(16) << 40, R.below(12)};
+    auto [It, Inserted] = Ref.emplace(V, static_cast<State>(Ref.size()));
+    if (Inserted)
+      ById.push_back(V);
+    EXPECT_EQ(Table.intern(V.data()), It->second);
+  }
+  ASSERT_EQ(Table.size(), Ref.size());
+  for (State Id = 0; Id < ById.size(); ++Id)
+    EXPECT_TRUE(std::equal(ById[Id].begin(), ById[Id].end(), Table.words(Id)))
+        << "id " << Id;
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,7 +28,9 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,10 +159,13 @@ TEST(ServerFuzz, SessionAnswersEveryMutatedLineOrStopsOnDrain) {
   for (const std::string &Seed : seedLines()) {
     for (int I = 0; I < 120; ++I) {
       std::string M = mutate(Seed, R);
-      size_t Responses = 0;
+      // An accepted submit's result line arrives later, from a pool thread:
+      // the sink may run concurrently with this thread and after this
+      // iteration, so it must own what it touches.
+      auto Responses = std::make_shared<std::atomic<size_t>>(0);
       bool Drain = handleRequestLine(
-          S, L, M, [&](const std::string &Line) {
-            ++Responses;
+          S, L, M, [Responses](const std::string &Line) {
+            ++*Responses;
             EXPECT_FALSE(Line.empty());
             EXPECT_EQ(Line.back(), '\n') << "unterminated response line";
           });
@@ -171,7 +176,7 @@ TEST(ServerFuzz, SessionAnswersEveryMutatedLineOrStopsOnDrain) {
       // noise the session skips).
       bool Blank = M.find_first_not_of(" \t\r\n") == std::string::npos;
       if (!Drain && !Blank) {
-        EXPECT_GE(Responses, 1u) << "silently dropped line: " << M;
+        EXPECT_GE(Responses->load(), 1u) << "silently dropped line: " << M;
       }
       if (Drain) {
         // A mutated line can still spell a valid drain; finish the drain

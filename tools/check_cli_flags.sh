@@ -5,7 +5,9 @@
 # --jobs, --max-states, and --portfolio must be rejected with exit code 4
 # and a structured diagnostic naming the flag, never silently parsed as
 # zero (the old atof/atol behavior turned "--timeout 1O" into an instant
-# timeout). Well-formed values must still be accepted.
+# timeout). Well-formed values must still be accepted. Unwritable
+# --stats-json and --trace paths must fail the same way, before the
+# analysis runs.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -83,5 +85,43 @@ expect_reject --complement bogus
 expect_reject --complement ""
 expect_accept --complement auto
 expect_accept --complement modular
+
+# Output files are opened before the analysis: a path in a missing
+# directory must be exit 4 naming the flag, with no verdict printed (the
+# analysis never ran).
+MISSING=$(mktemp -d)/missing
+expect_unwritable() {
+  FLAG=$1
+  OUT=$("$BIN" "$FLAG" "$MISSING/out" "$PROG" 2>/dev/null)
+  RC=$?
+  ERR=$("$BIN" "$FLAG" "$MISSING/out" "$PROG" 2>&1 >/dev/null)
+  if [ "$RC" -ne 4 ]; then
+    echo "FAIL $FLAG into a missing directory: exit $RC, expected 4" >&2
+    FAIL=1
+  elif ! printf '%s' "$ERR" | grep -q -- "$FLAG"; then
+    echo "FAIL $FLAG into a missing directory: diagnostic does not name the flag: $ERR" >&2
+    FAIL=1
+  elif [ -n "$OUT" ]; then
+    echo "FAIL $FLAG into a missing directory: printed output: $OUT" >&2
+    FAIL=1
+  else
+    echo "ok   reject $FLAG into a missing directory"
+  fi
+}
+expect_unwritable --stats-json
+expect_unwritable --trace
+rmdir "$(dirname "$MISSING")"
+
+# A report that cannot be written is an error, not a silent exit 0.
+if [ -w /dev/full ]; then
+  "$BIN" --quiet --stats-json - "$PROG" >/dev/full 2>/dev/null
+  RC=$?
+  if [ "$RC" -ne 4 ]; then
+    echo "FAIL --stats-json - into /dev/full: exit $RC, expected 4" >&2
+    FAIL=1
+  else
+    echo "ok   reject --stats-json - into /dev/full"
+  fi
+fi
 
 exit $FAIL

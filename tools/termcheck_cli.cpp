@@ -290,6 +290,18 @@ int runMain(int Argc, char **Argv) {
     return 0;
   }
 
+  // Output files are opened before the analysis, so an unwritable path is
+  // a usage error up front rather than after a run of up to the budget.
+  std::ofstream ReportFile;
+  if (StatsJsonPath && std::strcmp(StatsJsonPath, "-") != 0) {
+    ReportFile.open(StatsJsonPath);
+    if (!ReportFile) {
+      std::fprintf(stderr, "error: --stats-json: cannot open report file %s\n",
+                   StatsJsonPath);
+      return 4;
+    }
+  }
+
   // Optional trace stream: one JSONL sink shared by the analyzer (or all
   // racing portfolio entrants -- Trace is thread-safe) for the whole run.
   std::ofstream TraceFile;
@@ -300,7 +312,8 @@ int runMain(int Argc, char **Argv) {
     if (std::strcmp(TracePath, "-") != 0) {
       TraceFile.open(TracePath);
       if (!TraceFile) {
-        std::fprintf(stderr, "error: cannot open trace file %s\n", TracePath);
+        std::fprintf(stderr, "error: --trace: cannot open trace file %s\n",
+                     TracePath);
         return 4;
       }
       TOS = &TraceFile;
@@ -396,16 +409,12 @@ int runMain(int Argc, char **Argv) {
     In.TraceEvents = Tracer ? Tracer->eventCount() : 0;
     RunReportOptions RO;
     RO.Deterministic = StatsDeterministic;
-    if (std::strcmp(StatsJsonPath, "-") == 0) {
-      writeRunReport(std::cout, In, RO);
-    } else {
-      std::ofstream Out(StatsJsonPath);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot open report file %s\n",
-                     StatsJsonPath);
-        return 4;
-      }
-      writeRunReport(Out, In, RO);
+    std::ostream &Out = ReportFile.is_open() ? ReportFile : std::cout;
+    writeRunReport(Out, In, RO);
+    if (!Out.flush()) {
+      std::fprintf(stderr, "error: --stats-json: cannot write report to %s\n",
+                   StatsJsonPath);
+      return 4;
     }
   }
 
