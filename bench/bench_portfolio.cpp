@@ -25,7 +25,7 @@
 ///                        [timeout-seconds] [configs] [jobs]
 ///   corpus-dir       directory of .while files   (default: benchmarks)
 ///   timeout-seconds  per-configuration budget    (default: 10)
-///   configs          portfolio size K, 1..14     (default: 6)
+///   configs          portfolio size K, 1..3      (default: 3, the roster)
 ///   jobs             worker threads, 0 = one per config (default: 0)
 ///   --repeat N       report every wall as the median of N runs (default 1)
 ///   --json <path>    additionally emit a machine-readable report to the
@@ -101,7 +101,8 @@ int main(int Argc, char **Argv) {
     Pos.push_back(Argv[I]);
   std::string Dir = Pos.size() > 0 ? Pos[0] : "benchmarks";
   double Timeout = Pos.size() > 1 ? std::atof(Pos[1]) : 10.0;
-  size_t K = Pos.size() > 2 ? static_cast<size_t>(std::atol(Pos[2])) : 6;
+  size_t K = Pos.size() > 2 ? static_cast<size_t>(std::atol(Pos[2]))
+                            : PortfolioRosterSize;
   size_t Jobs = Pos.size() > 3 ? static_cast<size_t>(std::atol(Pos[3])) : 0;
 
   std::vector<CorpusProgram> Corpus = loadCorpus(Dir);

@@ -217,23 +217,23 @@ void childScrubFds(int Keep0, int Keep1) {
 
 /// RLIMIT_CPU: soft at the budget (SIGXCPU, classified cpu_exceeded) with
 /// a small hard backstop; RLIMIT_CORE: no core dumps from crashing
-/// workers; RLIMIT_AS: fork-time VM + budget (absolute caps are
-/// meaningless against the inherited address space), skipped under
-/// sanitizers whose shadow mappings would trip it instantly.
-void childApplyLimits(double CpuSeconds, uint64_t AsBudgetBytes) {
+/// workers; RLIMIT_AS: fork-time VM + a 512 MiB budget (the inherited
+/// address space -- thread stacks, allocator arenas -- is already
+/// committed, so an absolute cap would kill every worker at startup),
+/// skipped under sanitizers whose shadow mappings would trip it instantly.
+void childApplyLimits(double CpuSeconds) {
+  constexpr uint64_t AsBudgetBytes = 512ull << 20;
   rlimit RL;
   RL.rlim_cur = 0;
   RL.rlim_max = 0;
   ::setrlimit(RLIMIT_CORE, &RL);
-  if (CpuSeconds > 0) {
-    rlim_t Soft = static_cast<rlim_t>(std::ceil(CpuSeconds));
-    if (Soft < 1)
-      Soft = 1;
-    RL.rlim_cur = Soft;
-    RL.rlim_max = Soft + 5;
-    ::setrlimit(RLIMIT_CPU, &RL);
-  }
-  if (AsBudgetBytes > 0 && !sanitizersActive()) {
+  rlim_t Soft = static_cast<rlim_t>(std::ceil(CpuSeconds));
+  if (Soft < 1)
+    Soft = 1;
+  RL.rlim_cur = Soft;
+  RL.rlim_max = Soft + 5;
+  ::setrlimit(RLIMIT_CPU, &RL);
+  if (!sanitizersActive()) {
     std::ifstream Statm("/proc/self/statm");
     unsigned long long Pages = 0;
     if (Statm >> Pages) {
@@ -413,7 +413,6 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
     uint32_t Attempt = 0;
     SchedulerConfig Cfg;
     double CpuSeconds = 0;
-    uint64_t AsBudget = 0;
     if (const json::Value *O = Doc.find("options")) {
       Spec.Opts.TimeoutSeconds = Num(*O, "timeout_s", 60);
       Spec.Opts.PortfolioK = static_cast<size_t>(Num(*O, "portfolio", 0));
@@ -424,10 +423,8 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
         if (TF->isString())
           Spec.Opts.TestFault = TF->Str;
     }
-    if (const json::Value *L = Doc.find("limits")) {
+    if (const json::Value *L = Doc.find("limits"))
       CpuSeconds = Num(*L, "cpu_s", 0);
-      AsBudget = static_cast<uint64_t>(Num(*L, "as_budget", 0));
-    }
     Attempt = static_cast<uint32_t>(Num(Doc, "attempt", 0));
     Cfg.DefaultMaxStatesPerJob =
         static_cast<uint64_t>(Num(Doc, "default_max_states", 0));
@@ -457,7 +454,7 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
       }
     }
 
-    childApplyLimits(CpuSeconds, AsBudget);
+    childApplyLimits(CpuSeconds);
 
     if (!Spec.Opts.TestFault.empty() &&
         !(Spec.Opts.TestFault == "segv_first" && Attempt >= 1)) {
@@ -526,10 +523,11 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
 std::string jobDocument(const JobSpec &Spec, const SchedulerConfig &Cfg,
                         uint32_t Attempt,
                         const std::vector<std::string> *CacheEntries) {
-  const SandboxConfig &SB = Cfg.SandboxCfg;
-  double CpuSeconds = SB.CpuLimitSeconds;
-  if (CpuSeconds <= 0 && SB.CpuLimitSlackSeconds > 0)
-    CpuSeconds = Spec.Opts.TimeoutSeconds + SB.CpuLimitSlackSeconds;
+  // Generous: sanitizer builds burn real CPU multiples.
+  constexpr double CpuLimitSlackSeconds = 30;
+  double CpuSeconds = Cfg.SandboxCfg.CpuLimitSeconds;
+  if (CpuSeconds <= 0)
+    CpuSeconds = Spec.Opts.TimeoutSeconds + CpuLimitSlackSeconds;
   std::ostringstream OS;
   json::Writer W(OS, /*Pretty=*/false);
   W.beginObject();
@@ -552,7 +550,6 @@ std::string jobDocument(const JobSpec &Spec, const SchedulerConfig &Cfg,
   W.key("limits");
   W.beginObject();
   W.field("cpu_s", CpuSeconds);
-  W.field("as_budget", static_cast<int64_t>(SB.MemoryBudgetBytes));
   W.endObject();
   // An empty array still signals "cache on" to the child, so a run with a
   // cold cache reports misses/inserts instead of silently disabling them.

@@ -98,18 +98,8 @@ struct SandboxConfig {
   /// timeout -- with no deadline or cancel asking for teardown -- is
   /// presumed wedged and torn down (classified as deadline_exceeded).
   double HangGraceSeconds = 10.0;
-  /// Supervisor liveness-poll period.
-  double PollPeriodSeconds = 0.025;
-  /// RLIMIT_CPU = ceil(analysis timeout) + this slack (generous: sanitizer
-  /// builds burn real CPU multiples). CpuLimitSeconds overrides the whole
-  /// derivation when nonzero; 0 slack with 0 override disables the limit.
-  double CpuLimitSlackSeconds = 30;
+  /// RLIMIT_CPU when nonzero; 0 = the analysis timeout plus 30 s of slack.
   double CpuLimitSeconds = 0;
-  /// RLIMIT_AS budget ABOVE the worker's fork-time VM size (the inherited
-  /// address space -- thread stacks, allocator arenas -- is already
-  /// committed; an absolute cap would kill every worker at startup).
-  /// 0 disables; always skipped under sanitizers.
-  uint64_t MemoryBudgetBytes = 512ull << 20;
   /// Crashed / OOM-killed attempts are retried this many times on a fresh
   /// worker (transient-failure absorption); 0 disables.
   uint32_t MaxRetries = 1;
@@ -120,9 +110,6 @@ struct SandboxConfig {
   /// quarantined: later submissions short-circuit to UNKNOWN with a
   /// quarantined flag instead of burning workers. 0 disables.
   uint32_t QuarantineThreshold = 2;
-  /// Bound on distinct shapes tracked (memory cap; beyond it new shapes
-  /// are no longer counted).
-  size_t MaxQuarantineShapes = 4096;
 };
 
 /// Structured classification of how a worker process left.

@@ -239,8 +239,6 @@ Scheduler::Scheduler(const SchedulerConfig &C)
       Pool(C.Workers == 0 ? ThreadPool::defaultConcurrency() : C.Workers) {
   if (Cfg.MaxActiveJobs == 0)
     Cfg.MaxActiveJobs = 1;
-  if (Cfg.MonitorPeriodSeconds <= 0)
-    Cfg.MonitorPeriodSeconds = 0.025;
   Sup = std::make_unique<Supervisor>(Cfg);
   Monitor = std::thread([this] { monitorLoop(); });
 }
@@ -663,8 +661,8 @@ void Scheduler::finish(const std::shared_ptr<Job> &J, JobOutcome Outcome) {
 void Scheduler::monitorLoop() {
   std::unique_lock<std::mutex> Lock(M);
   while (!Shutdown) {
-    MonitorCv.wait_for(
-        Lock, std::chrono::duration<double>(Cfg.MonitorPeriodSeconds));
+    // The deadline monitor's 25 ms poll period.
+    MonitorCv.wait_for(Lock, std::chrono::milliseconds(25));
     if (Shutdown)
       break;
     // Reap queued jobs that died waiting (deadline, cancel, hard drain):

@@ -69,8 +69,6 @@ struct SchedulerConfig {
   /// max_states (0 = no guard). Bounds the memory one job can take from
   /// the fleet (states * ResourceGuard::ApproxBytesPerState).
   uint64_t DefaultMaxStatesPerJob = 4u << 20;
-  /// Deadline-monitor poll period.
-  double MonitorPeriodSeconds = 0.025;
   /// How admitted jobs execute. InProcess is the library default (no
   /// behavior change for embedders and benches); the termcheckd CLI
   /// defaults to Auto.

@@ -44,9 +44,9 @@ bool Supervisor::recordCrash(uint64_t Shape) {
   std::lock_guard<std::mutex> Lock(M);
   auto It = CrashCounts.find(Shape);
   if (It == CrashCounts.end()) {
-    // Memory cap: beyond the bound, new shapes are not tracked (existing
+    // Memory cap: beyond 4096 shapes, new ones are not tracked (existing
     // quarantine entries keep protecting the fleet).
-    if (CrashCounts.size() >= SB.MaxQuarantineShapes)
+    if (CrashCounts.size() >= 4096)
       return false;
     It = CrashCounts.emplace(Shape, 0u).first;
   }
@@ -74,10 +74,9 @@ Supervisor::Attempt Supervisor::drive(const JobSpec &Spec,
   if (Flags >= 0)
     ::fcntl(H.OutFd, F_SETFL, Flags | O_NONBLOCK);
 
-  const int PollMs =
-      SB.PollPeriodSeconds > 0
-          ? static_cast<int>(SB.PollPeriodSeconds * 1000.0) + 1
-          : 25;
+  // Wait between liveness checks (poll() on the pipe, or a sleep once it
+  // hit EOF): a 25 ms cadence, rounded up.
+  constexpr int PollMs = 26;
   Timer Run;
   Timer TermTimer;
   bool SentTerm = false, SentKill = false, Eof = false;

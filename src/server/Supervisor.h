@@ -87,7 +87,7 @@ private:
   mutable std::mutex M;
   SandboxHealth Stats;
   /// Crash-loop quarantine: canonical program-shape hash -> total worker
-  /// crashes attributed to it. Bounded by MaxQuarantineShapes.
+  /// crashes attributed to it. Bounded at 4096 shapes.
   std::unordered_map<uint64_t, uint32_t> CrashCounts;
 
   /// What one driven attempt came back with.

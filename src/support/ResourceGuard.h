@@ -7,8 +7,8 @@
 /// \file
 /// A shared, thread-safe resource budget for one analysis (or one portfolio
 /// race): a global cap on automaton states materialized across all
-/// subtractions and complements, an approximate memory cap derived from it,
-/// and a per-stage soft deadline for the generalization stages.
+/// subtractions and complements, and an approximate memory cap derived
+/// from it.
 ///
 /// The guard is advisory and cooperative, like the CancellationToken: the
 /// difference engine and the NCSB oracles poll it through the existing
@@ -38,9 +38,6 @@ public:
     uint64_t MaxStates = 0;
     /// Approximate heap bytes attributed to charged states.
     uint64_t MaxApproxBytes = 0;
-    /// Soft wall-clock budget for one generalization stage, in seconds
-    /// (polled between stages, never preempting one).
-    double StageSoftDeadlineSeconds = 0;
   };
 
   /// Average cost of one materialized macro-state (transitions, sets,
@@ -53,8 +50,6 @@ public:
 
   ResourceGuard(const ResourceGuard &) = delete;
   ResourceGuard &operator=(const ResourceGuard &) = delete;
-
-  const Limits &limits() const { return L; }
 
   /// Records \p N freshly materialized states.
   void chargeStates(uint64_t N) noexcept {

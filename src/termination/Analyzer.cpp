@@ -146,20 +146,7 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
     return Builder.buildNondeterministic(M0);
   }
 
-  // Per-lasso soft deadline across the stage sequence: checked between
-  // stage attempts and rotations (a running stage is never preempted), so
-  // a pathological sequence degrades to the cheap fallback module instead
-  // of eating the whole wall-clock budget on one lasso.
-  double Soft = Opts.StageSoftDeadlineSeconds;
-  if (Soft <= 0 && Opts.Guard)
-    Soft = Opts.Guard->limits().StageSoftDeadlineSeconds;
-  Deadline StageBudget = Soft > 0 ? Deadline::after(Soft) : Deadline();
-
   for (Stage S : Opts.Sequence) {
-    if (StageBudget.expired()) {
-      Stats.add("stages.soft_deadline");
-      break;
-    }
     if (Trace *TR = Opts.Tracer)
       TR->emit(TraceEvent(TraceEventKind::StageAttempt)
                    .with("stage", stageIndex(S)));
@@ -195,10 +182,6 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
         LassoProver Prover(P);
         size_t MaxRot = std::min<size_t>(L.Loop.size(), 8);
         for (size_t Rot = 0; Rot < MaxRot; ++Rot) {
-          if (Rot != 0 && StageBudget.expired()) {
-            Stats.add("stages.soft_deadline");
-            break;
-          }
           Lasso LR = L;
           if (Rot != 0) {
             LR.Stem = L.Stem.empty() ? L.Loop : L.Stem;
@@ -444,11 +427,13 @@ AnalysisResult TerminationAnalyzer::run() {
   // counterexample, and Terminating becomes unreachable.
   uint32_t SkippedUnknown = 0;
   std::optional<LassoWord> FirstUnknown;
-  // Fault containment: each recoverable EngineError weakens exactly one
-  // decision (a lasso treated as unproven, a subtraction degraded to the
-  // word-only form) and is counted; past MaxContainedFaults the run stops
-  // pretending and reports UNKNOWN. The counter is what bounds livelock
-  // when the same fault re-fires every iteration.
+  // Fault containment: each recoverable EngineError (ArithmeticOverflow,
+  // ResourceExhausted, InternalInvariant) weakens exactly one decision (a
+  // lasso treated as unproven, a subtraction degraded to the word-only
+  // form) and is counted; past MaxContainedFaults the run stops pretending
+  // and reports UNKNOWN. The counter is what bounds livelock when the same
+  // fault re-fires every iteration.
+  constexpr uint32_t MaxContainedFaults = 8;
   uint32_t ContainedFaults = 0;
   auto Contain = [&](const EngineError &E) {
     Result.Stats.add(std::string("fault.contained.") +
@@ -458,7 +443,7 @@ AnalysisResult TerminationAnalyzer::run() {
                    .with("where", "run")
                    .with("kind", errorKindName(E.kind()))
                    .with("count", static_cast<int64_t>(ContainedFaults + 1)));
-    return ++ContainedFaults > Opts.MaxContainedFaults;
+    return ++ContainedFaults > MaxContainedFaults;
   };
   // The per-stage wall-clock timers of the run report: one accumulating
   // timer per pipeline stage, recorded through the same Statistics bag as
@@ -696,8 +681,10 @@ AnalysisResult TerminationAnalyzer::run() {
     Remaining = dropFullConditions(Remaining);
     if (Remaining.numConditions() > 48)
       Remaining = degeneralize(Remaining);
-    if (Opts.ReduceRemaining &&
-        Remaining.numStates() <= Opts.ReduceStateCap) {
+    // The quotient's cost is quadratic in the remaining automaton, so it
+    // only runs below this size.
+    constexpr uint32_t ReduceStateCap = 600;
+    if (Opts.ReduceRemaining && Remaining.numStates() <= ReduceStateCap) {
       uint32_t Before = Remaining.numStates();
       Remaining = Timed("time.reduce", [&] {
         return quotientByDirectSimulation(Remaining, BudgetHook);

@@ -66,8 +66,7 @@ enum class ComplementStrategy : uint8_t {
 struct AnalyzerOptions {
   /// Stage sequence tried in order after the implicit stage 0; the
   /// paper's sequence (i) skips M_det, (ii) skips M_semi, (iii) tries all.
-  std::vector<Stage> Sequence = {Stage::Finite, Stage::Semideterministic,
-                                 Stage::Nondeterministic};
+  std::vector<Stage> Sequence = sequenceSkipDet();
   /// Single-stage mode: always generalize straight to M_nondet.
   bool MultiStage = true;
   /// Which NCSB variant complements semideterministic modules.
@@ -87,9 +86,8 @@ struct AnalyzerOptions {
   const CancellationToken *Cancel = nullptr;
   /// Quotient the remaining automaton by direct-simulation equivalence
   /// after each difference (a language-preserving reduction; applied while
-  /// the automaton is below ReduceStateCap states).
+  /// the automaton has at most 600 states).
   bool ReduceRemaining = true;
-  uint32_t ReduceStateCap = 600;
   /// Attempt a nontermination proof (closed recurrent set or executable
   /// witness; src/nontermination) whenever a sampled lasso resists every
   /// termination stage, instead of giving up with Unknown immediately.
@@ -112,16 +110,6 @@ struct AnalyzerOptions {
   /// Polled wherever the wall-clock budget is polled; exhaustion ends the
   /// run with TIMEOUT instead of letting a subtraction OOM the process.
   ResourceGuard *Guard = nullptr;
-  /// Soft wall-clock budget for the generalization stages of one lasso, in
-  /// seconds (0 = unlimited; falls back to Guard's limit when unset).
-  /// Checked between stage attempts -- a stage is never preempted -- so an
-  /// expensive stage sequence degrades to the cheap fallback module.
-  double StageSoftDeadlineSeconds = 0;
-  /// How many recoverable engine faults (ArithmeticOverflow,
-  /// ResourceExhausted, InternalInvariant) one run absorbs before giving
-  /// up with UNKNOWN. Each contained fault only ever weakens the verdict;
-  /// the cap bounds livelock when faults repeat on every iteration.
-  uint32_t MaxContainedFaults = 8;
   /// Optional trace handle (non-owning; must outlive the run). Null means
   /// tracing is disabled, and every emit site checks the pointer before
   /// building any event payload, so the hot paths pay nothing. The same

@@ -24,47 +24,21 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
   struct Entry {
     const char *Name;
     std::vector<Stage> (*Seq)();
-    NcsbVariant V;
-    bool Sub;
     bool NontermBiased;
-    bool Modular = false;
+    bool Modular;
   };
-  // Diversity-first order: entry 0 is the library default and every short
-  // prefix flips a different axis, so --portfolio 4 races genuinely
-  // different strategies rather than four near-clones. Sequence (ii) has
-  // no entrant: in the roster audit (ROADMAP.md) it won no program. Every
-  // entrant runs the recurrence prover; the nonterm-biased ones race with
-  // larger CEGIS/witness budgets and a longer unknown-skip hunt, so on
-  // nonterminating programs whose easy lassos the default budgets miss,
-  // they reach NONTERMINATING while the others are still refining.
+  // Every entrant after entry 0 (the library default) decides some
+  // program clearly faster than the others (the roster audits in
+  // ROADMAP.md): sequence (iii) where M_det fits (moded_stride), and the
+  // modular entrant on deep loop nests, whose stage-4 modules its co-reach
+  // cut complements where the monolithic chain degrades to word-only
+  // removal. Every entrant runs the recurrence prover; the nonterm-biased
+  // one races with larger CEGIS/witness budgets and a longer unknown-skip
+  // hunt.
   static const Entry Roster[] = {
-      {"seq_i-lazy-sub", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Lazy, true, false},
-      {"seq_iii-lazy-sub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
-       true, false},
-      {"nonterm-deep", AnalyzerOptions::sequenceSkipDet, NcsbVariant::Lazy,
-       true, true},
-      {"seq_i-orig-nosub", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Original, false, false},
-      {"seq_iii-orig-sub", AnalyzerOptions::sequenceAll,
-       NcsbVariant::Original, true, false},
-      {"seq_i-orig-sub", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Original, true, false},
-      {"seq_iii-lazy-nosub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
-       false, false},
-      {"seq_i-lazy-nosub", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Lazy, false, false},
-      {"seq_iii-orig-nosub", AnalyzerOptions::sequenceAll,
-       NcsbVariant::Original, false, false},
-      {"nonterm-deep-orig", AnalyzerOptions::sequenceAll,
-       NcsbVariant::Original, true, true},
-      // The modular entrants ride at the roster's tail; they race the
-      // modular complement, whose co-reach cut accepts stage-4 modules the
-      // monolithic chain would degrade to word-only removal.
-      {"seq_iii-modular-sub", AnalyzerOptions::sequenceAll, NcsbVariant::Lazy,
-       true, false, true},
-      {"nonterm-modular-deep", AnalyzerOptions::sequenceSkipDet,
-       NcsbVariant::Lazy, true, true, true},
+      {"seq_i-lazy-sub", AnalyzerOptions::sequenceSkipDet, false, false},
+      {"seq_iii-lazy-sub", AnalyzerOptions::sequenceAll, false, false},
+      {"nonterm-modular-deep", AnalyzerOptions::sequenceSkipDet, true, true},
   };
   static_assert(std::size(Roster) == PortfolioRosterSize);
   K = std::clamp<size_t>(K, 1, PortfolioRosterSize);
@@ -75,8 +49,6 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
     PortfolioConfig C;
     C.Name = Roster[I].Name;
     C.Opts.Sequence = Roster[I].Seq();
-    C.Opts.Ncsb = Roster[I].V;
-    C.Opts.UseSubsumption = Roster[I].Sub;
     if (Roster[I].Modular)
       C.Opts.Complement = ComplementStrategy::Modular;
     if (Roster[I].NontermBiased) {
@@ -100,8 +72,6 @@ AnalyzerOptions effectiveOptions(const PortfolioConfig &C,
   AnalyzerOptions O = C.Opts;
   if (PO.TimeoutSeconds > 0)
     O.TimeoutSeconds = PO.TimeoutSeconds;
-  if (PO.MaxIterations != 0)
-    O.MaxIterations = PO.MaxIterations;
   if (PO.DisableNonterm)
     O.ProveNontermination = false;
   if (PO.MaxProductStates != 0)
@@ -171,8 +141,7 @@ termcheck::runPortfolio(const Program &P,
   // so K configurations cannot multiply the memory footprint by K.
   std::optional<ResourceGuard> GuardStorage;
   ResourceGuard *Guard = nullptr;
-  if (Opts.GuardLimits.MaxStates != 0 || Opts.GuardLimits.MaxApproxBytes != 0 ||
-      Opts.GuardLimits.StageSoftDeadlineSeconds > 0) {
+  if (Opts.GuardLimits.MaxStates != 0 || Opts.GuardLimits.MaxApproxBytes != 0) {
     GuardStorage.emplace(Opts.GuardLimits);
     Guard = &*GuardStorage;
   }
@@ -310,8 +279,7 @@ struct PortfolioRace::State {
         Remaining(Configs.size()) {
     for (size_t I = 0; I < Configs.size(); ++I)
       Entrants[I].Name = Configs[I].Name;
-    if (O.GuardLimits.MaxStates != 0 || O.GuardLimits.MaxApproxBytes != 0 ||
-        O.GuardLimits.StageSoftDeadlineSeconds > 0) {
+    if (O.GuardLimits.MaxStates != 0 || O.GuardLimits.MaxApproxBytes != 0) {
       GuardStorage.emplace(O.GuardLimits);
       Guard = &*GuardStorage;
     }

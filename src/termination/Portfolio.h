@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Section 7 of the paper shows that no single analyzer configuration
-/// dominates: the stage sequences (i)/(ii)/(iii) and the NCSB variants each
-/// win on different programs. The portfolio runner exploits exactly that:
+/// dominates: different stage sequences and complement strategies win on
+/// different programs. The portfolio runner exploits exactly that:
 /// it races K configurations over the same program on a thread pool, the
 /// first conclusive verdict (TERMINATING or NONTERMINATING -- an Unknown
 /// entrant never decides the race) wins, and the
@@ -45,15 +45,14 @@ struct PortfolioConfig {
 
 /// Number of entrants in the default roster. The CLIs reject a larger
 /// --portfolio count.
-inline constexpr size_t PortfolioRosterSize = 12;
+inline constexpr size_t PortfolioRosterSize = 3;
 
-/// The deterministic default roster: the Section 7 evaluation axes (stage
-/// sequence i/iii x NCSB lazy/original x subsumption on/off), two
-/// nonterm-biased entrants with enlarged recurrence-prover budgets, and two
-/// entrants running the modular complement strategy, ordered so small
-/// prefixes are diverse -- entry 0 is the library default configuration,
-/// and each following entry flips at least one axis of an earlier one. The
-/// modular entrants sit at the tail (slots 10 and 11). \p K is clamped to
+/// The deterministic default roster, in order: the library default
+/// configuration (`seq_i-lazy-sub`), stage sequence (iii)
+/// (`seq_iii-lazy-sub`), and the modular complement strategy with enlarged
+/// recurrence-prover budgets (`nonterm-modular-deep`). Every entrant uses
+/// NCSB-Lazy and the subsumption antichain; the other Section 7 axes stay
+/// reachable through AnalyzerOptions. \p K is clamped to
 /// [1, PortfolioRosterSize].
 std::vector<PortfolioConfig> defaultPortfolio(size_t K);
 
@@ -64,8 +63,6 @@ struct PortfolioOptions {
   size_t Jobs = 0;
   /// When nonzero, overrides every configuration's wall-clock budget.
   double TimeoutSeconds = 0;
-  /// When nonzero, overrides every configuration's iteration cap.
-  uint64_t MaxIterations = 0;
   /// Disables the recurrence prover in every entrant (the CLI's
   /// --no-nonterm): verdicts degrade to the pre-nontermination lattice.
   bool DisableNonterm = false;

@@ -37,7 +37,6 @@ void writeStages(json::Writer &W, const Statistics &S) {
   W.field("semideterministic", S.get("modules.semideterministic"));
   W.field("nondeterministic", S.get("modules.nondeterministic"));
   W.field("rotated", S.get("modules.rotated"));
-  W.field("soft_deadline_hits", S.get("stages.soft_deadline"));
   W.endObject();
 }
 

@@ -337,7 +337,7 @@ JobSpec deterministicJob(const std::string &Id, const std::string &Source) {
   S.Id = Id;
   S.ProgramText = Source;
   S.Opts.TimeoutSeconds = 30;
-  S.Opts.PortfolioK = 4;
+  S.Opts.PortfolioK = PortfolioRosterSize;
   S.Opts.EntrantJobs = 1;
   S.Opts.Deterministic = true;
   return S;
@@ -350,7 +350,8 @@ std::string cliReferenceReport(const std::string &Source,
   PortfolioOptions PO;
   PO.Jobs = 1;
   PO.TimeoutSeconds = TimeoutSeconds;
-  PortfolioRunResult R = runPortfolio(*PR.Prog, defaultPortfolio(4), PO);
+  PortfolioRunResult R =
+      runPortfolio(*PR.Prog, defaultPortfolio(PortfolioRosterSize), PO);
   AnalysisResult Result = std::move(R.Result);
   Result.Seconds = R.Seconds;
   RunReportInput In;

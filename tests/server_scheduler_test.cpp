@@ -190,13 +190,13 @@ JobSpec deterministicJob(const std::string &Id, const std::string &Source) {
   S.Id = Id;
   S.ProgramText = Source;
   S.Opts.TimeoutSeconds = 30;
-  S.Opts.PortfolioK = 4;
+  S.Opts.PortfolioK = PortfolioRosterSize;
   S.Opts.EntrantJobs = 1; // sequential fallback
   S.Opts.Deterministic = true;
   return S;
 }
 
-/// The CLI-equivalent report: `termcheck --portfolio 4 --jobs 1
+/// The CLI-equivalent report: `termcheck --portfolio 3 --jobs 1
 /// --stats-json - --stats-deterministic` in process.
 std::string cliReferenceReport(const std::string &Source,
                                double TimeoutSeconds) {
@@ -205,7 +205,8 @@ std::string cliReferenceReport(const std::string &Source,
   PortfolioOptions PO;
   PO.Jobs = 1;
   PO.TimeoutSeconds = TimeoutSeconds;
-  PortfolioRunResult R = runPortfolio(*PR.Prog, defaultPortfolio(4), PO);
+  PortfolioRunResult R =
+      runPortfolio(*PR.Prog, defaultPortfolio(PortfolioRosterSize), PO);
   AnalysisResult Result = std::move(R.Result);
   Result.Seconds = R.Seconds;
   RunReportInput In;

@@ -64,9 +64,15 @@ done
 # not for the two count flags.
 expect_reject --jobs 0
 expect_reject --portfolio 0
-# --portfolio counts roster entrants: the roster has 12, and a larger count
-# is a usage error rather than a silent clamp.
-expect_reject --portfolio 13
+# --portfolio counts roster entrants: `--help` prints the bound as
+# "(1..N)", and N + 1 is a usage error rather than a silent clamp.
+ROSTER=$("$BIN" --help 2>&1 | sed -n 's/.*(1\.\.\([0-9][0-9]*\)).*/\1/p')
+if [ -z "$ROSTER" ]; then
+  echo "FAIL --help does not print the --portfolio bound as (1..N)" >&2
+  FAIL=1
+  ROSTER=1
+fi
+expect_reject --portfolio $((ROSTER + 1))
 # NaN/inf must not sneak through strtod.
 expect_reject --timeout nan
 expect_reject --timeout inf
@@ -76,8 +82,8 @@ expect_accept --timeout 0.5
 expect_accept --max-states 0
 expect_accept --max-states 100000
 expect_accept --jobs 1
-expect_accept --portfolio 2
-expect_accept --portfolio 12
+expect_accept --portfolio 1
+expect_accept --portfolio "$ROSTER"
 
 # --complement is enumerated, not numeric, but gets the same structured
 # rejection: a typo must be exit 4 naming the flag, never a silent default.
@@ -112,7 +118,8 @@ expect_unwritable --stats-json
 expect_unwritable --trace
 rmdir "$(dirname "$MISSING")"
 
-# A report that cannot be written is an error, not a silent exit 0.
+# A report or trace that cannot be written is an error, not a silent
+# exit 0.
 if [ -w /dev/full ]; then
   "$BIN" --quiet --stats-json - "$PROG" >/dev/full 2>/dev/null
   RC=$?
@@ -121,6 +128,17 @@ if [ -w /dev/full ]; then
     FAIL=1
   else
     echo "ok   reject --stats-json - into /dev/full"
+  fi
+  ERR=$("$BIN" --quiet --trace /dev/full "$PROG" 2>&1 >/dev/null)
+  RC=$?
+  if [ "$RC" -ne 4 ]; then
+    echo "FAIL --trace /dev/full: exit $RC, expected 4" >&2
+    FAIL=1
+  elif ! printf '%s' "$ERR" | grep -q -- "--trace"; then
+    echo "FAIL --trace /dev/full: diagnostic does not name the flag: $ERR" >&2
+    FAIL=1
+  else
+    echo "ok   reject --trace /dev/full"
   fi
 fi
 

@@ -22,8 +22,9 @@
 #     --trace stream records worker lifecycle events;
 #  7. a sandboxed rerun with --inject-crash kills the worker of every
 #     Nth job with a real SIGSEGV: exactly those jobs come back as
-#     FAILED_worker_* pseudo-verdicts, every other verdict is unchanged,
-#     and the daemon survives to drain cleanly.
+#     FAILED_worker_* pseudo-verdicts, each named by a `failed` line on
+#     stderr even under --quiet, every other verdict is unchanged, and the
+#     daemon survives to drain cleanly.
 #
 # --isolation MODE (inprocess|sandbox|auto) is forwarded to every daemon
 # phases 2-6 start; phase 7 always forces sandbox.
@@ -161,7 +162,7 @@ fi
 echo "== 7. sandboxed crash injection: every 7th worker dies to SIGSEGV"
 "$BATCH" --spawn "$DAEMON" --isolation sandbox --inject-crash 7 \
          --timeout 60 --quiet --verdicts "$DIR/crash.txt" "$DIR/corpus" \
-  > /dev/null 2>&1
+  > /dev/null 2> "$DIR/crash.err"
 RC=$?
 if [ "$RC" != 1 ]; then
   echo "FAIL crash-injection run exited $RC (want 1: injected failures)" >&2
@@ -174,6 +175,21 @@ if [ "$FAILED" != "$INJECTED" ]; then
   cat "$DIR/crash.txt" >&2
   exit 1
 fi
+# --quiet silences verdicts, not failures: one `failed <stem>: worker_...`
+# line per injected crash, each naming a job the verdicts file failed.
+NAMED=$(grep -c '^failed [^ ]*: worker_' "$DIR/crash.err")
+if [ "$NAMED" != "$INJECTED" ]; then
+  echo "FAIL $NAMED 'failed <stem>: worker_' lines on stderr, expected" \
+       "$INJECTED" >&2
+  cat "$DIR/crash.err" >&2
+  exit 1
+fi
+for STEM in $(sed -n 's/^failed \([^ ]*\): worker_.*/\1/p' "$DIR/crash.err"); do
+  grep -q "^$STEM FAILED_worker_" "$DIR/crash.txt" || {
+    echo "FAIL stderr names $STEM, which did not fail" >&2
+    exit 1
+  }
+done
 grep -v ' FAILED_worker_' "$DIR/crash.txt" > "$DIR/crash.ok.txt"
 while IFS= read -r LINE; do
   grep -qxF "$LINE" "$DIR/batch.txt" || {

@@ -29,7 +29,9 @@
 ///     --inject-crash <N>    test hook: ask the daemon to crash the
 ///                           sandboxed worker of every Nth job
 ///                           (options.test_fault = "segv")
-///     --quiet               suppress per-program progress lines
+///     --quiet               suppress per-program verdict lines and the
+///                           summary (failed and rejected jobs are
+///                           still named on stderr)
 ///
 /// Backpressure is part of the protocol, not an error: a `queue_full`
 /// rejection re-queues the program and stalls further submission until
@@ -94,7 +96,8 @@ void usage(const char *Prog) {
       "  --health               print the daemon's health line and exit\n"
       "  --inject-crash <N>     crash the worker of every Nth job (test "
       "hook)\n"
-      "  --quiet                suppress per-program progress\n",
+      "  --quiet                suppress per-program verdicts and the\n"
+      "                         summary (failures still go to stderr)\n",
       Prog);
 }
 
@@ -654,10 +657,11 @@ int main(int Argc, char **Argv) {
         Todo.push_front(I);
         Stalled = true;
       } else {
+        // Failures are reported even under --quiet: a run that exits 1
+        // must name the jobs that made it fail.
         FailJob(I, "FAILED_REJECTED_" + Reason);
-        if (!Quiet)
-          std::fprintf(stderr, "rejected %s: %s\n",
-                       Programs[I].Stem.c_str(), Reason.c_str());
+        std::fprintf(stderr, "rejected %s: %s\n", Programs[I].Stem.c_str(),
+                     Reason.c_str());
       }
       continue;
     }
@@ -685,13 +689,10 @@ int main(int Argc, char **Argv) {
         std::printf("%s: %s\n", Name.c_str(), Jobs[I].Verdict.c_str());
     } else {
       FailJob(I, "FAILED_" + Status);
-      if (!Quiet) {
-        const json::Value *D = Doc.find("diagnostic");
-        std::fprintf(stderr, "failed %s: %s%s%s\n", Programs[I].Stem.c_str(),
-                     Status.c_str(),
-                     D && D->isString() ? ": " : "",
-                     D && D->isString() ? D->Str.c_str() : "");
-      }
+      const json::Value *D = Doc.find("diagnostic");
+      std::fprintf(stderr, "failed %s: %s%s%s\n", Programs[I].Stem.c_str(),
+                   Status.c_str(), D && D->isString() ? ": " : "",
+                   D && D->isString() ? D->Str.c_str() : "");
     }
   }
 

@@ -14,7 +14,7 @@
 ///     --ncsb <lazy|original> SDBA complementation variant (default lazy)
 ///     --complement <auto|modular> module complementation strategy
 ///     --no-subsumption    disable the Section 6 antichain
-///     --portfolio <K>     race the first K default configurations (1..12)
+///     --portfolio <K>     race the first K default configurations (1..3)
 ///     --jobs <N>          portfolio worker threads (default: all cores;
 ///                         1 = deterministic sequential fallback)
 ///     --no-nonterm        disable the nontermination prover
@@ -305,10 +305,11 @@ int runMain(int Argc, char **Argv) {
   // Optional trace stream: one JSONL sink shared by the analyzer (or all
   // racing portfolio entrants -- Trace is thread-safe) for the whole run.
   std::ofstream TraceFile;
+  std::ostream *TraceOS = nullptr;
   std::unique_ptr<JsonlSink> TraceSinkPtr;
   std::unique_ptr<Trace> Tracer;
   if (TracePath) {
-    std::ostream *TOS = &std::cout;
+    TraceOS = &std::cout;
     if (std::strcmp(TracePath, "-") != 0) {
       TraceFile.open(TracePath);
       if (!TraceFile) {
@@ -316,9 +317,9 @@ int runMain(int Argc, char **Argv) {
                      TracePath);
         return 4;
       }
-      TOS = &TraceFile;
+      TraceOS = &TraceFile;
     }
-    TraceSinkPtr = std::make_unique<JsonlSink>(*TOS);
+    TraceSinkPtr = std::make_unique<JsonlSink>(*TraceOS);
     Tracer = std::make_unique<Trace>(*TraceSinkPtr);
     Opts.Tracer = Tracer.get();
   }
@@ -416,6 +417,11 @@ int runMain(int Argc, char **Argv) {
                    StatsJsonPath);
       return 4;
     }
+  }
+  if (TraceOS && !TraceOS->flush()) {
+    std::fprintf(stderr, "error: --trace: cannot write trace to %s\n",
+                 TracePath);
+    return 4;
   }
 
   return verdictExitCode(Result.V);
