@@ -9,7 +9,6 @@
 #include "server/Scheduler.h"
 #include "support/CancellationToken.h"
 #include "support/FaultInjector.h"
-#include "termination/ModuleCache.h"
 
 #include <cerrno>
 #include <cmath>
@@ -342,43 +341,6 @@ bool readAllFd(int Fd, std::string &Out) {
   ::_exit(WorkerExitSetup);
 }
 
-/// Serialized module-cache entries cross the job/outcome pipes hex-encoded:
-/// the payload is raw binary (it embeds NULs and arbitrary bytes) and the
-/// pipe protocol is JSON text.
-std::string hexEncode(const std::string &Bytes) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out;
-  Out.reserve(Bytes.size() * 2);
-  for (unsigned char C : Bytes) {
-    Out.push_back(Digits[C >> 4]);
-    Out.push_back(Digits[C & 0xF]);
-  }
-  return Out;
-}
-
-bool hexDecode(const std::string &Hex, std::string &Out) {
-  if (Hex.size() % 2 != 0)
-    return false;
-  auto Nibble = [](char C) -> int {
-    if (C >= '0' && C <= '9')
-      return C - '0';
-    if (C >= 'a' && C <= 'f')
-      return C - 'a' + 10;
-    if (C >= 'A' && C <= 'F')
-      return C - 'A' + 10;
-    return -1;
-  };
-  Out.clear();
-  Out.reserve(Hex.size() / 2);
-  for (size_t I = 0; I < Hex.size(); I += 2) {
-    int Hi = Nibble(Hex[I]), Lo = Nibble(Hex[I + 1]);
-    if (Hi < 0 || Lo < 0)
-      return false;
-    Out.push_back(static_cast<char>((Hi << 4) | Lo));
-  }
-  return true;
-}
-
 /// Child main: never returns. Everything runs under a top-level bad_alloc
 /// net (the self-reported OOM exit) and a catch-all (classified crashed).
 [[noreturn]] void runWorkerChild(int JobFd, int OutFd) {
@@ -433,27 +395,6 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
     // echoes the sequential execution.
     Spec.Opts.EntrantJobs = 1;
 
-    // Seed a worker-local module cache from the entries the supervisor
-    // shipped (candidates for this program's shape). Seeding goes through
-    // insertSerialized, so a corrupt entry is silently dropped here and
-    // surfaces as a validation-failure counter only if its shape key
-    // matched; the drain right after marks the seeds as not-new, so only
-    // modules certified by THIS run travel back to the parent.
-    ModuleCache LocalCache;
-    bool CacheEnabled = false;
-    if (const json::Value *MC = Doc.find("module_cache")) {
-      if (MC->isArray()) {
-        CacheEnabled = true;
-        for (const json::Value &E : MC->Arr) {
-          std::string Raw;
-          if (E.isString() && hexDecode(E.Str, Raw))
-            (void)LocalCache.insertSerialized(Raw);
-        }
-        (void)LocalCache.drainNewEntries();
-        Cfg.Cache = &LocalCache;
-      }
-    }
-
     childApplyLimits(CpuSeconds);
 
     if (!Spec.Opts.TestFault.empty() &&
@@ -488,25 +429,6 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
       W.field("report_pretty", PS.str());
       W.field("report_compact", outcomeReportCompact(O));
     }
-    if (CacheEnabled) {
-      std::vector<std::string> NewEntries = LocalCache.drainNewEntries();
-      if (!NewEntries.empty()) {
-        W.key("cache_inserts");
-        W.beginArray();
-        for (const std::string &E : NewEntries)
-          W.value(hexEncode(E));
-        W.endArray();
-      }
-      ModuleCacheStats T = LocalCache.totals();
-      W.key("cache_stats");
-      W.beginObject();
-      W.field("hits", static_cast<int64_t>(T.Hits));
-      W.field("misses", static_cast<int64_t>(T.Misses));
-      W.field("validation_failures",
-              static_cast<int64_t>(T.ValidationFailures));
-      W.field("inserts", static_cast<int64_t>(T.Inserts));
-      W.endObject();
-    }
     W.endObject();
     W.finish();
     writeAllFd(OutFd, OS.str());
@@ -521,8 +443,7 @@ bool hexDecode(const std::string &Hex, std::string &Out) {
 
 /// Serializes the parent->child job document.
 std::string jobDocument(const JobSpec &Spec, const SchedulerConfig &Cfg,
-                        uint32_t Attempt,
-                        const std::vector<std::string> *CacheEntries) {
+                        uint32_t Attempt) {
   // Generous: sanitizer builds burn real CPU multiples.
   constexpr double CpuLimitSlackSeconds = 30;
   double CpuSeconds = Cfg.SandboxCfg.CpuLimitSeconds;
@@ -551,15 +472,6 @@ std::string jobDocument(const JobSpec &Spec, const SchedulerConfig &Cfg,
   W.beginObject();
   W.field("cpu_s", CpuSeconds);
   W.endObject();
-  // An empty array still signals "cache on" to the child, so a run with a
-  // cold cache reports misses/inserts instead of silently disabling them.
-  if (CacheEntries) {
-    W.key("module_cache");
-    W.beginArray();
-    for (const std::string &E : *CacheEntries)
-      W.value(hexEncode(E));
-    W.endArray();
-  }
   W.endObject();
   W.finish();
   return OS.str();
@@ -576,14 +488,13 @@ std::once_flag SigpipeOnce;
 bool termcheck::server::spawnWorker(const JobSpec &Spec,
                                     const SchedulerConfig &Cfg,
                                     uint32_t Attempt, WorkerHandle &H,
-                                    std::string *Error,
-                                    const std::vector<std::string> *CacheEntries) {
+                                    std::string *Error) {
   // A worker that dies before draining its job pipe turns the parent's
   // write into EPIPE; that must be an errno, not a process-killing
   // SIGPIPE.
   std::call_once(SigpipeOnce, [] { std::signal(SIGPIPE, SIG_IGN); });
 
-  std::string Doc = jobDocument(Spec, Cfg, Attempt, CacheEntries);
+  std::string Doc = jobDocument(Spec, Cfg, Attempt);
   int JobPipe[2], OutPipe[2];
   if (::pipe(JobPipe) != 0) {
     if (Error)
@@ -653,26 +564,6 @@ bool termcheck::server::parseWorkerOutcome(const std::string &Bytes,
       return false;
     O.ReportPretty = RP->Str;
     O.ReportCompact = RC->Str;
-  }
-  if (const json::Value *CI = Doc.find("cache_inserts"))
-    if (CI->isArray())
-      for (const json::Value &E : CI->Arr) {
-        std::string Raw;
-        if (E.isString() && hexDecode(E.Str, Raw))
-          O.CacheInserts.push_back(std::move(Raw));
-      }
-  if (const json::Value *CS = Doc.find("cache_stats");
-      CS && CS->isObject()) {
-    auto U64 = [&](const char *K) -> uint64_t {
-      const json::Value *V = CS->find(K);
-      return V && V->isNumber() && V->Num >= 0
-                 ? static_cast<uint64_t>(V->Num)
-                 : 0;
-    };
-    O.CacheStats.Hits = U64("hits");
-    O.CacheStats.Misses = U64("misses");
-    O.CacheStats.ValidationFailures = U64("validation_failures");
-    O.CacheStats.Inserts = U64("inserts");
   }
   // The worker runs sequentially regardless of the submitted entrant
   // parallelism; keep the echo honest in the parent too.

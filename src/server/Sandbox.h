@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include <sys/types.h>
 
@@ -162,17 +161,8 @@ struct WorkerHandle {
 /// document from its pipe, applies rlimits, runs the sequential analysis,
 /// writes the outcome document, and _exit()s. The PARENT gets \p H back.
 /// \returns false (with \p Error set) when pipe/fork plumbing failed.
-///
-/// \p CacheEntries, when non-null, enables the worker-side module cache:
-/// the serialized entries (raw bytes; candidates for this program's shape
-/// from the supervisor's shared ModuleCache) are hex-encoded into the job
-/// document, the child seeds a private in-memory cache from them, and any
-/// modules the run certifies come back hex-encoded in the outcome document
-/// (JobOutcome::CacheInserts). Passing an empty vector still turns the
-/// worker cache on -- cold runs then report misses and ship inserts.
 bool spawnWorker(const JobSpec &Spec, const SchedulerConfig &Cfg,
-                 uint32_t Attempt, WorkerHandle &H, std::string *Error,
-                 const std::vector<std::string> *CacheEntries = nullptr);
+                 uint32_t Attempt, WorkerHandle &H, std::string *Error);
 
 /// Classifies a waitpid status. \p SentTerm / \p SentKill say whether the
 /// supervisor signalled this worker (distinguishes our SIGKILL from the

@@ -430,7 +430,6 @@ void termcheck::server::executeJobSync(const JobSpec &Spec,
     PO.DisableNonterm = JO.NoNonterm;
     PO.MaxProductStates = JO.MaxStates;
     PO.Cancel = Cancel;
-    PO.Cache = Cfg.Cache;
     if (!JO.Deterministic && Cfg.DefaultMaxStatesPerJob != 0)
       PO.GuardLimits.MaxStates = Cfg.DefaultMaxStatesPerJob;
     PortfolioRunResult PR = runPortfolio(P, defaultPortfolio(JO.PortfolioK), PO);
@@ -447,7 +446,6 @@ void termcheck::server::executeJobSync(const JobSpec &Spec,
   AO.ProveNontermination = !JO.NoNonterm;
   AO.MaxProductStates = JO.MaxStates;
   AO.Cancel = Cancel;
-  AO.Cache = Cfg.Cache;
   std::optional<ResourceGuard> GuardStorage;
   if (!JO.Deterministic && Cfg.DefaultMaxStatesPerJob != 0) {
     ResourceGuard::Limits GL;
@@ -531,7 +529,6 @@ void Scheduler::launchLocked(const std::shared_ptr<Job> &J) {
       PO.TimeoutSeconds = JO.TimeoutSeconds;
       PO.DisableNonterm = JO.NoNonterm;
       PO.MaxProductStates = JO.MaxStates;
-      PO.Cache = Cfg.Cache;
       if (Cfg.DefaultMaxStatesPerJob != 0)
         PO.GuardLimits.MaxStates = Cfg.DefaultMaxStatesPerJob;
       std::vector<PortfolioConfig> Configs = defaultPortfolio(JO.PortfolioK);

@@ -36,7 +36,6 @@
 #include "server/Protocol.h"
 #include "server/Sandbox.h"
 #include "support/ResourceGuard.h"
-#include "termination/ModuleCache.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "termination/RunReport.h"
@@ -78,12 +77,6 @@ struct SchedulerConfig {
   /// Worker lifecycle events (spawn/exit/kill/retry/quarantine) are
   /// emitted here when non-null.
   Trace *Tracer = nullptr;
-  /// Optional cross-run certified-module cache shared by every job of the
-  /// daemon (non-owning; ModuleCache is thread-safe). In-process jobs
-  /// attach it directly; sandboxed jobs ship matching entries to the
-  /// worker in the job document and merge the worker's inserts back from
-  /// the outcome document (DESIGN.md section 16).
-  ModuleCache *Cache = nullptr;
 };
 
 /// How a job left the scheduler.
@@ -158,15 +151,6 @@ struct JobOutcome {
   /// re-marshalling the (not fully serializable) AnalysisResult.
   std::string ReportPretty;
   std::string ReportCompact;
-  /// Serialized module-cache entries the worker inserted during its run
-  /// (raw entry bytes, hex-decoded from the outcome document). The
-  /// supervisor merges them into the shared cache.
-  std::vector<std::string> CacheInserts;
-  /// The worker's cache counters: hits and misses happened in the worker's
-  /// private cache, so the supervisor folds them into the shared cache's
-  /// cumulative totals (the daemon summary would otherwise read hits=0
-  /// under full sandboxing).
-  ModuleCacheStats CacheStats;
 };
 
 /// Runs one job to an outcome on the calling thread: parse, then the

@@ -6,9 +6,7 @@
 
 #include "server/Supervisor.h"
 
-#include "program/Parser.h"
 #include "support/CancellationToken.h"
-#include "termination/ModuleCache.h"
 
 #include <csignal>
 #include <cstring>
@@ -244,26 +242,10 @@ JobOutcome Supervisor::run(const JobSpec &Spec, CancellationToken &Token) {
     }
   }
 
-  // With a shared module cache attached, ship this program's candidate
-  // entries to the worker (shape-keyed, so only plausibly matching modules
-  // cross the pipe) and merge whatever the worker certifies back in after
-  // a clean outcome. The parent never trusts the bytes: every merge goes
-  // through insertSerialized's header/checksum check, and replay in any
-  // later consumer still re-validates against its own program.
-  std::vector<std::string> CacheEntries;
-  bool CacheOn = Cfg.Cache != nullptr;
-  if (CacheOn) {
-    ParseResult PR = parseProgram(Spec.ProgramText);
-    if (PR.ok())
-      CacheEntries =
-          Cfg.Cache->entriesForProgram(ModuleCache::programShapeKey(*PR.Prog));
-  }
-
   for (uint32_t AttemptNo = 0;; ++AttemptNo) {
     WorkerHandle H;
     std::string Err;
-    if (!spawnWorker(Spec, Cfg, AttemptNo, H, &Err,
-                     CacheOn ? &CacheEntries : nullptr)) {
+    if (!spawnWorker(Spec, Cfg, AttemptNo, H, &Err)) {
       O.Status = JobStatus::WorkerCrashed;
       O.Result.V = Verdict::Unknown;
       O.Attempts = AttemptNo + 1;
@@ -331,11 +313,6 @@ JobOutcome Supervisor::run(const JobSpec &Spec, CancellationToken &Token) {
         return O;
       }
       Parsed.Attempts = AttemptNo + 1;
-      if (CacheOn) {
-        for (const std::string &E : Parsed.CacheInserts)
-          (void)Cfg.Cache->insertSerialized(E);
-        Cfg.Cache->addTotals(Parsed.CacheStats);
-      }
       return Parsed;
     }
 

@@ -13,7 +13,6 @@
 #include "automata/Ops.h"
 #include "automata/PerfCounters.h"
 #include "automata/Simulation.h"
-#include "termination/ModuleCache.h"
 
 #include <cassert>
 #include <algorithm>
@@ -133,20 +132,30 @@ static bool cheaplyComplementable(const CertifiedModule &M,
   return false;
 }
 
-CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
-                                                const LassoWord &W,
-                                                const LassoProof &Proof,
-                                                Statistics &Stats) {
+std::optional<CertifiedModule>
+TerminationAnalyzer::generalize(const Lasso &L, const LassoWord &W,
+                                const LassoProof &Proof, Statistics &Stats) {
+  // The run's budget hook is polled before each stage, before each stage-3
+  // rotation, before the saturated-lasso fallback, and inside the stage-2,
+  // 3 and 4 constructions. Once it fires no further construction runs and
+  // no module comes back: the hook is sticky, so the loop head turns its
+  // cause into the TIMEOUT or CANCELLED verdict.
   ModuleBuilder Builder(P);
+  Builder.ShouldAbort = BudgetHook;
   CertifiedModule M0 = Builder.buildLasso(L, Proof);
   assert(acceptsLasso(M0.A, W) && "stage 0 must contain the lasso word");
 
   if (!Opts.MultiStage) {
+    CertifiedModule M = Builder.buildNondeterministic(M0);
+    if (Builder.aborted())
+      return std::nullopt;
     Stats.add("modules.nondeterministic");
-    return Builder.buildNondeterministic(M0);
+    return M;
   }
 
   for (Stage S : Opts.Sequence) {
+    if (BudgetHook())
+      return std::nullopt;
     if (Trace *TR = Opts.Tracer)
       TR->emit(TraceEvent(TraceEventKind::StageAttempt)
                    .with("stage", stageIndex(S)));
@@ -168,6 +177,8 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
       }
       case Stage::Deterministic: {
         CertifiedModule M = Builder.buildDeterministic(M0);
+        if (Builder.aborted())
+          return std::nullopt;
         if (acceptsLasso(M.A, W)) {
           Stats.add("modules.deterministic");
           return M;
@@ -182,6 +193,8 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
         LassoProver Prover(P);
         size_t MaxRot = std::min<size_t>(L.Loop.size(), 8);
         for (size_t Rot = 0; Rot < MaxRot; ++Rot) {
+          if (BudgetHook())
+            return std::nullopt;
           Lasso LR = L;
           if (Rot != 0) {
             LR.Stem = L.Stem.empty() ? L.Loop : L.Stem;
@@ -196,6 +209,8 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
             continue;
           CertifiedModule MR = Builder.buildLasso(LR, PR);
           CertifiedModule M = Builder.buildSemideterministic(MR);
+          if (Builder.aborted())
+            return std::nullopt;
           if (acceptsLasso(M.A, W)) {
             Stats.add("modules.semideterministic");
             if (Rot != 0)
@@ -207,6 +222,8 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
       }
       case Stage::Nondeterministic: {
         CertifiedModule M = Builder.buildNondeterministic(M0);
+        if (Builder.aborted())
+          return std::nullopt;
         if (acceptsLasso(M.A, W) && cheaplyComplementable(M, Opts)) {
           Stats.add("modules.nondeterministic");
           return M;
@@ -228,6 +245,8 @@ CertifiedModule TerminationAnalyzer::generalize(const Lasso &L,
   // lasso module, which is semideterministic and contains the word by
   // construction; if even that is not cheaply complementable (merged loop
   // anomalies), use the bare lasso module.
+  if (BudgetHook())
+    return std::nullopt;
   try {
     CertifiedModule MSat = Builder.buildSaturatedLasso(M0);
     if (acceptsLasso(MSat.A, W) && cheaplyComplementable(MSat, Opts)) {
@@ -470,46 +489,6 @@ AnalysisResult TerminationAnalyzer::run() {
     DiffOpts.Guard = Opts.Guard;
     return DiffOpts;
   };
-  // Cross-run module cache (DESIGN.md section 16). Warm start: replay
-  // every module previously certified for this program shape through the
-  // normal subtraction path before hunting fresh lassos. Each replayed
-  // module was re-validated by lookupProgram, so this is exactly as sound
-  // as subtracting a freshly generalized module; a fault during a replay
-  // abandons the remaining warm set (pure optimization, never a verdict).
-  ModuleCacheStats CacheStats;
-  uint64_t ProgKey = 0;
-  if (Opts.Cache) {
-    ProgKey = ModuleCache::programShapeKey(P);
-    std::vector<CertifiedModule> Warm =
-        Opts.Cache->lookupProgram(ProgKey, P, CacheStats);
-    for (CertifiedModule &M : Warm) {
-      if (BudgetHook())
-        break;
-      try {
-        Remaining = Timed(
-            "time.subtract", [&] { return subtract(Remaining, M,
-                                                   Result.Stats); });
-      } catch (const EngineError &E) {
-        Result.Stats.add(std::string("fault.contained.") +
-                         errorKindName(E.kind()));
-        Result.Stats.add("cache.warm_replay_aborted");
-        break;
-      }
-      Result.Stats.add("cache.warm_replays");
-      if (Trace *TR = Opts.Tracer)
-        TR->emit(TraceEvent(TraceEventKind::ModuleBuilt)
-                     .with("iteration", static_cast<int64_t>(0))
-                     .with("stage", moduleStageIndex(M.Kind))
-                     .with("kind", moduleKindName(M.Kind))
-                     .with("states",
-                           static_cast<int64_t>(M.A.numStates()))
-                     .with("cached", true));
-      Result.Modules.push_back(std::move(M));
-      Remaining = dropFullConditions(Remaining);
-      if (Remaining.numConditions() > 48)
-        Remaining = degeneralize(Remaining);
-    }
-  }
   while (true) {
     if (Cancel && Cancel->cancelled()) {
       Result.V = Verdict::Cancelled;
@@ -626,37 +605,22 @@ AnalysisResult TerminationAnalyzer::run() {
     }
 
     try {
-      // Before paying for generalization, ask the cache whether an
-      // earlier run already certified a module for this canonical lasso
-      // shape. lookupLasso re-validates (decode, acceptsLasso on this
-      // very word, validateModule), so a hit makes exactly the progress a
-      // fresh generalize would.
-      CertifiedModule M;
-      uint64_t LassoKey = 0;
-      bool FromCache = false;
-      if (Opts.Cache) {
-        LassoKey = ModuleCache::lassoShapeKey(P, *W);
-        FromCache = Opts.Cache->lookupLasso(LassoKey, P, *W, M, CacheStats);
-      }
-      if (!FromCache) {
-        M = Timed(
-            "time.generalize", [&] { return generalize(L, *W, Proof,
-                                                       Result.Stats); });
-        Result.Stats.add("perf.generalize_calls");
-        if (Opts.Cache)
-          Opts.Cache->insert(LassoKey, ProgKey, M, P, CacheStats);
-      }
+      std::optional<CertifiedModule> M = Timed(
+          "time.generalize", [&] { return generalize(L, *W, Proof,
+                                                     Result.Stats); });
+      Result.Stats.add("perf.generalize_calls");
+      if (!M)
+        continue; // the budget hook fired; the loop head ends the run
       if (Trace *TR = Opts.Tracer)
         TR->emit(TraceEvent(TraceEventKind::ModuleBuilt)
                      .with("iteration", static_cast<int64_t>(Iter))
-                     .with("stage", moduleStageIndex(M.Kind))
-                     .with("kind", moduleKindName(M.Kind))
-                     .with("states", static_cast<int64_t>(M.A.numStates()))
-                     .with("cached", FromCache));
+                     .with("stage", moduleStageIndex(M->Kind))
+                     .with("kind", moduleKindName(M->Kind))
+                     .with("states", static_cast<int64_t>(M->A.numStates())));
       Remaining = Timed(
-          "time.subtract", [&] { return subtract(Remaining, M,
+          "time.subtract", [&] { return subtract(Remaining, *M,
                                                  Result.Stats); });
-      Result.Modules.push_back(std::move(M));
+      Result.Modules.push_back(std::move(*M));
     } catch (const EngineError &E) {
       if (Contain(E)) {
         Result.V = Verdict::Unknown;
@@ -709,16 +673,6 @@ AnalysisResult TerminationAnalyzer::run() {
   Result.Stats.add("perf.arcs_memoized",
                    static_cast<int64_t>(PerfEnd.ArcsMemoized -
                                         PerfStart.ArcsMemoized));
-  if (Opts.Cache) {
-    Result.Stats.add("perf.cache_hits",
-                     static_cast<int64_t>(CacheStats.Hits));
-    Result.Stats.add("perf.cache_misses",
-                     static_cast<int64_t>(CacheStats.Misses));
-    Result.Stats.add("perf.cache_validation_failures",
-                     static_cast<int64_t>(CacheStats.ValidationFailures));
-    Result.Stats.add("perf.cache_inserts",
-                     static_cast<int64_t>(CacheStats.Inserts));
-  }
   Result.Seconds = Watch.seconds();
   if (Trace *TR = Opts.Tracer)
     TR->emit(TraceEvent(TraceEventKind::VerdictReached)

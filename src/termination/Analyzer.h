@@ -40,8 +40,6 @@
 
 namespace termcheck {
 
-class ModuleCache;
-
 /// One generalization attempt in the multi-stage sequence.
 enum class Stage : uint8_t {
   Finite,            ///< M_fin (only applicable to infeasible stems)
@@ -116,15 +114,6 @@ struct AnalyzerOptions {
   /// handle is forwarded into the recurrence prover and may be shared by
   /// concurrent portfolio entrants (Trace is thread-safe).
   Trace *Tracer = nullptr;
-  /// Optional cross-run certified-module cache (non-owning; must outlive
-  /// the run; thread-safe, may be shared across concurrent runs). When
-  /// set, the run warm-starts by replaying every cached module recorded
-  /// for this program shape through the normal subtraction path, consults
-  /// the cache before each generalize, inserts freshly certified modules,
-  /// and reports perf.cache_* counters. Every replayed module is
-  /// re-validated with validateModule first -- a stale or corrupt entry is
-  /// a miss, never an unsound verdict.
-  ModuleCache *Cache = nullptr;
 
   /// The paper's stage sequences for the Section 7 ablation.
   static std::vector<Stage> sequenceSkipDet() {
@@ -195,15 +184,18 @@ public:
 private:
   Program &P;
   AnalyzerOptions Opts;
-  /// Polled inside the (otherwise uninterruptible) difference engine so a
-  /// single subtraction cannot overrun the wall-clock budget.
+  /// Polled inside generalization and the (otherwise uninterruptible)
+  /// difference engine so a single generalize call or subtraction cannot
+  /// overrun the wall-clock budget.
   std::function<bool()> BudgetHook;
 
   /// Tries the configured stages; \returns the first module containing the
-  /// lasso word (always succeeds: M_nondet is the final fallback when
-  /// configured, and M_uv itself contains the word).
-  CertifiedModule generalize(const Lasso &L, const LassoWord &W,
-                             const LassoProof &Proof, Statistics &Stats);
+  /// lasso word (M_nondet is the final fallback when configured, and M_uv
+  /// itself contains the word), or std::nullopt once BudgetHook fired.
+  std::optional<CertifiedModule> generalize(const Lasso &L,
+                                            const LassoWord &W,
+                                            const LassoProof &Proof,
+                                            Statistics &Stats);
 
   /// Subtracts the module language from \p Remaining.
   Buchi subtract(const Buchi &Remaining, const CertifiedModule &M,

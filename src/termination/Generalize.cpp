@@ -261,6 +261,12 @@ struct SubsetSpace {
 
 } // namespace
 
+bool ModuleBuilder::pollAbort() {
+  if (!Aborted && ShouldAbort && ShouldAbort())
+    Aborted = true;
+  return Aborted;
+}
+
 CertifiedModule ModuleBuilder::buildDeterministic(const CertifiedModule &M0) {
   assert(M0.Kind == ModuleKind::Lasso && "stage 2 starts from stage 0");
   std::vector<Symbol> Alphabet = moduleAlphabet(M0);
@@ -298,6 +304,8 @@ CertifiedModule ModuleBuilder::buildDeterministic(const CertifiedModule &M0) {
   M.A.addInitial(Start);
 
   while (!Work.empty()) {
+    if (pollAbort())
+      return M;
     State Id = Work.front();
     Work.pop_front();
     if (Id < Built.size() && Built[Id])
@@ -369,6 +377,8 @@ ModuleBuilder::buildSemideterministic(const CertifiedModule &M0) {
   M.A.addInitial(Start);
 
   while (!Work.empty()) {
+    if (pollAbort())
+      return M;
     State Id = Work.front();
     Work.pop_front();
     if (Id < Built.size() && Built[Id])
@@ -447,6 +457,8 @@ ModuleBuilder::buildNondeterministic(const CertifiedModule &M0) {
   CertifiedModule M = M0;
   M.Kind = ModuleKind::Nondeterministic;
   for (State Q = 0; Q < M0.A.numStates(); ++Q) {
+    if (pollAbort())
+      return M;
     bool Accepting = M0.A.acceptMask(Q) != 0;
     const LinearExpr *Update = Accepting ? &M0.Rank : nullptr;
     for (Symbol Sym : Alphabet) {

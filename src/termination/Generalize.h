@@ -30,6 +30,7 @@
 #include "termination/CertifiedModule.h"
 #include "termination/LassoProver.h"
 
+#include <functional>
 #include <optional>
 
 namespace termcheck {
@@ -43,6 +44,15 @@ public:
   /// alphabet (the Section 1 semantics, e.g. Eq. 1/3); when false, they
   /// use only the statements of u v^omega (the literal Section 3.1 rule).
   bool UseFullAlphabet = true;
+
+  /// Optional budget hook, polled once per popped subset in the stage-2
+  /// and stage-3 worklists and once per source state in stage 4. When it
+  /// fires the construction stops early; aborted() then reports true and
+  /// the incomplete module must be discarded.
+  std::function<bool()> ShouldAbort;
+
+  /// True once ShouldAbort fired during any construction of this builder.
+  bool aborted() const { return Aborted; }
 
   /// Stage 0 (Section 3.1.1). \p Proof must be Terminating.
   CertifiedModule buildLasso(const Lasso &L, const LassoProof &Proof);
@@ -72,6 +82,10 @@ public:
 
 private:
   Program &P;
+  bool Aborted = false;
+
+  /// Polls ShouldAbort; latches Aborted when it fires.
+  bool pollAbort();
 
   /// Symbols labeling any edge of \p M0 (the module alphabet Sigma_M).
   std::vector<Symbol> moduleAlphabet(const CertifiedModule &M0) const;

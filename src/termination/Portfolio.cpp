@@ -79,7 +79,6 @@ AnalyzerOptions effectiveOptions(const PortfolioConfig &C,
   O.Cancel = Token;
   O.Guard = Guard;
   O.Tracer = PO.Tracer;
-  O.Cache = PO.Cache;
   return O;
 }
 

@@ -85,9 +85,6 @@ struct PortfolioOptions {
   /// instead). Cancellation does not perturb determinism: two uncancelled
   /// runs still dump byte-identical statistics.
   const CancellationToken *Cancel = nullptr;
-  /// Optional cross-run certified-module cache shared by every entrant
-  /// (non-owning; ModuleCache is thread-safe). See AnalyzerOptions::Cache.
-  ModuleCache *Cache = nullptr;
 };
 
 /// The per-entrant timeline of one race: when the entrant started, when

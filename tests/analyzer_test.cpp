@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
 using namespace termcheck;
 
 namespace {
@@ -283,6 +286,56 @@ program p(i, j, k) {
   TerminationAnalyzer A(P, Opts);
   AnalysisResult R = A.run();
   EXPECT_EQ(R.V, Verdict::Timeout);
+}
+
+/// Cancels the run's token at the first stage-3 attempt and records the
+/// kind of every event that follows.
+class CancelAtFirstStage3 : public TraceSink {
+public:
+  explicit CancelAtFirstStage3(CancellationToken &Token) : Token(Token) {}
+
+  void consume(const TraceEvent &E) override {
+    if (Token.cancelled()) {
+      After.push_back(E.Kind);
+      return;
+    }
+    if (E.Kind != TraceEventKind::StageAttempt)
+      return;
+    const TraceEvent::FieldValue *Stage = E.find("stage");
+    if (Stage && std::get<int64_t>(*Stage) == 3)
+      Token.cancel();
+  }
+
+  std::vector<TraceEventKind> After;
+
+private:
+  CancellationToken &Token;
+};
+
+TEST(Analyzer, CancelInsideGeneralizationBuildsNoModule) {
+  // A cancel that lands while a lasso is being generalized stops the
+  // generalization at its next poll: no further stage or rotation runs,
+  // and no module is built or subtracted for that lasso.
+  const std::vector<BenchProgram> Suite = benchmarkSuite();
+  auto Gcd = std::find_if(Suite.begin(), Suite.end(),
+                          [](const BenchProgram &B) {
+                            return B.Name == "gcd_like";
+                          });
+  ASSERT_NE(Gcd, Suite.end());
+  Program P = parse(Gcd->Source.c_str());
+  CancellationToken Token;
+  CancelAtFirstStage3 Sink(Token);
+  Trace TR(Sink);
+  AnalyzerOptions Opts;
+  Opts.Cancel = &Token;
+  Opts.Tracer = &TR;
+  AnalysisResult R = analyze(P, Opts);
+  ASSERT_TRUE(Token.cancelled()) << "the run never attempted stage 3";
+  EXPECT_EQ(R.V, Verdict::Cancelled);
+  for (TraceEventKind K : Sink.After) {
+    EXPECT_NE(K, TraceEventKind::ModuleBuilt) << traceEventKindName(K);
+    EXPECT_NE(K, TraceEventKind::StageAttempt) << traceEventKindName(K);
+  }
 }
 
 

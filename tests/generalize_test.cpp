@@ -97,6 +97,28 @@ TEST_F(GeneralizeTest, Stage2DeterministicRejectsTheWord) {
   EXPECT_EQ(validateModule(MDet, P), "");
 }
 
+TEST_F(GeneralizeTest, ShouldAbortStopsStages2To4) {
+  // The hook is polled once per popped subset (stages 2 and 3) or source
+  // state (stage 4) and latches: the second poll fires, the construction
+  // stops there, and aborted() says so.
+  using Build = CertifiedModule (ModuleBuilder::*)(const CertifiedModule &);
+  for (Build Stage : {&ModuleBuilder::buildDeterministic,
+                      &ModuleBuilder::buildSemideterministic,
+                      &ModuleBuilder::buildNondeterministic}) {
+    ModuleBuilder Full(P);
+    CertifiedModule M0 = Full.buildLasso(innerLasso(), provenInner());
+    CertifiedModule Complete = (Full.*Stage)(M0);
+    EXPECT_FALSE(Full.aborted());
+    ModuleBuilder B(P);
+    int Polls = 0;
+    B.ShouldAbort = [&Polls] { return ++Polls == 2; };
+    CertifiedModule Cut = (B.*Stage)(M0);
+    EXPECT_TRUE(B.aborted());
+    EXPECT_EQ(Polls, 2);
+    EXPECT_LT(Cut.A.numTransitions(), Complete.A.numTransitions());
+  }
+}
+
 TEST_F(GeneralizeTest, Stage3SemiAcceptsTheWord) {
   // Section 3.1.4: M_semi accepts u v^omega.
   ModuleBuilder B(P);

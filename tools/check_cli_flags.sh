@@ -7,7 +7,7 @@
 # zero (the old atof/atol behavior turned "--timeout 1O" into an instant
 # timeout). Well-formed values must still be accepted. Unwritable
 # --stats-json and --trace paths must fail the same way, before the
-# analysis runs.
+# analysis runs, and so must the removed --module-cache flag.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -91,6 +91,12 @@ expect_reject --complement bogus
 expect_reject --complement ""
 expect_accept --complement auto
 expect_accept --complement modular
+
+# The cross-run module cache was deleted: its flag is an unknown option,
+# exit 4 naming the flag, never accepted and silently ignored.
+CACHE_DIR=$(mktemp -d)
+expect_reject --module-cache "$CACHE_DIR"
+rm -rf "$CACHE_DIR"
 
 # Output files are opened before the analysis: a path in a missing
 # directory must be exit 4 naming the flag, with no verdict printed (the

@@ -24,10 +24,15 @@
 #     Nth job with a real SIGSEGV: exactly those jobs come back as
 #     FAILED_worker_* pseudo-verdicts, each named by a `failed` line on
 #     stderr even under --quiet, every other verdict is unchanged, and the
-#     daemon survives to drain cleanly.
+#     daemon survives to drain cleanly;
+#  8. --module-cache is a usage error (exit 4) for termcheckd and
+#     termcheck-batch;
+#  9. a one-job sandboxed daemon run writes worker_spawn and worker_exit
+#     to its --trace file, and exits 1 naming --trace when the trace
+#     cannot be written (/dev/full; skipped where it is not writable).
 #
 # --isolation MODE (inprocess|sandbox|auto) is forwarded to every daemon
-# phases 2-6 start; phase 7 always forces sandbox.
+# phases 2-6 start; phases 7 and 9 always force sandbox.
 #
 # Teardown is trap-based: any exit path kills a still-running daemon and
 # removes the temp dir.
@@ -198,38 +203,56 @@ while IFS= read -r LINE; do
   }
 done < "$DIR/crash.ok.txt"
 
-echo "== 8. module cache: warm second daemon run, identical verdicts + hits"
-# Two daemon runs sharing one --module-cache directory: the first populates
-# it (cross-run persistence through disk), the second must warm-start --
-# identical verdicts AND a nonzero hit count in the daemon's shutdown
-# summary line.
-mkdir -p "$DIR/modcache"
-"$BATCH" --spawn "$DAEMON" $ISO_ARGS --module-cache "$DIR/modcache" \
-         --timeout 60 --quiet --verdicts "$DIR/cache_cold.txt" \
-         "$DIR/corpus" 2> "$DIR/cache_cold.err" \
-  || { echo "FAIL cold cache batch run" >&2; exit 1; }
-if ! diff -u "$DIR/batch.txt" "$DIR/cache_cold.txt"; then
-  echo "FAIL cold-cache run changed verdicts" >&2
-  exit 1
+echo "== 8. --module-cache is an unknown option to the daemon and the client"
+# The cross-run module cache was deleted; its flag must fail loudly as a
+# usage error instead of being accepted or silently ignored.
+expect_unknown_option() {
+  ERR=$("$@" < /dev/null 2>&1 >/dev/null)
+  RC=$?
+  if [ "$RC" != 4 ]; then
+    echo "FAIL $1 --module-cache: exit $RC, expected 4" >&2
+    exit 1
+  fi
+  case "$ERR" in
+    *"unknown option '--module-cache'"*) ;;
+    *) echo "FAIL $1 --module-cache: no unknown-option diagnostic: $ERR" >&2
+       exit 1 ;;
+  esac
+}
+expect_unknown_option "$DAEMON" --module-cache "$DIR/modcache"
+expect_unknown_option "$BATCH" --spawn "$DAEMON" \
+  --module-cache "$DIR/modcache" --health
+
+echo "== 9. termcheckd --trace: a trace that cannot be written is an error"
+# One sandboxed job writes worker_spawn and worker_exit events; into a
+# file both arrive, and into /dev/full the daemon must exit 1 naming the
+# flag instead of losing them silently.
+PROG='program p(i) { while (i > 0) { i := i - 1; } }'
+SUBMIT="{\"op\":\"submit\",\"id\":\"t1\",\"program\":\"$PROG\"}"
+echo "$SUBMIT" | "$DAEMON" --isolation sandbox --trace "$DIR/one.jsonl" \
+  > /dev/null 2>&1 || { echo "FAIL one-job traced daemon run" >&2; exit 1; }
+for EV in worker_spawn worker_exit; do
+  grep -q "\"event\":\"$EV\"" "$DIR/one.jsonl" \
+    || { echo "FAIL one-job trace has no $EV event" >&2; exit 1; }
+done
+TRACE_FULL="skipped: /dev/full not writable"
+if [ -w /dev/full ]; then
+  ERR=$(echo "$SUBMIT" | "$DAEMON" --isolation sandbox --trace /dev/full \
+        2>&1 >/dev/null)
+  RC=$?
+  if [ "$RC" != 1 ]; then
+    echo "FAIL termcheckd --trace /dev/full: exit $RC, expected 1" >&2
+    exit 1
+  fi
+  case "$ERR" in
+    *"--trace: cannot write trace"*) ;;
+    *) echo "FAIL termcheckd --trace /dev/full: diagnostic: $ERR" >&2
+       exit 1 ;;
+  esac
+  TRACE_FULL="reported"
 fi
-[ -n "$(ls "$DIR/modcache" 2>/dev/null)" ] \
-  || { echo "FAIL cold run persisted no cache entries" >&2; exit 1; }
-"$BATCH" --spawn "$DAEMON" $ISO_ARGS --module-cache "$DIR/modcache" \
-         --timeout 60 --quiet --verdicts "$DIR/cache_warm.txt" \
-         "$DIR/corpus" 2> "$DIR/cache_warm.err" \
-  || { echo "FAIL warm cache batch run" >&2; exit 1; }
-if ! diff -u "$DIR/batch.txt" "$DIR/cache_warm.txt"; then
-  echo "FAIL warm-cache run changed verdicts" >&2
-  exit 1
-fi
-SUMMARY=$(grep 'module-cache:' "$DIR/cache_warm.err" || true)
-case "$SUMMARY" in
-  *"hits=0 "*|"")
-    echo "FAIL warm run reported no cache hits: '$SUMMARY'" >&2
-    cat "$DIR/cache_warm.err" >&2
-    exit 1 ;;
-esac
 
 echo "server e2e: $COUNT programs, batch == per-process == socket == oracle;" \
-     "$INJECTED injected crashes contained; warm cache run identical"
+     "$INJECTED injected crashes contained; --module-cache rejected;" \
+     "trace write failure $TRACE_FULL"
 exit 0

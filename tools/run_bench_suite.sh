@@ -42,8 +42,7 @@ MICRO="$BUILD/bench/bench_micro_ncsb"
 FIG5="$BUILD/bench/bench_fig5_multistage"
 PORTFOLIO="$BUILD/bench/bench_portfolio"
 SERVER="$BUILD/bench/bench_server_throughput"
-MODCACHE="$BUILD/bench/bench_module_cache"
-for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$SERVER" "$MODCACHE"; do
+for BIN in "$MICRO" "$FIG5" "$PORTFOLIO" "$SERVER"; do
   [ -x "$BIN" ] || { echo "run_bench_suite.sh: $BIN not built" >&2; exit 4; }
 done
 
@@ -63,11 +62,6 @@ echo "== bench_fig5_multistage (median of $REPEAT) =="
 
 echo "== bench_server_throughput (median of $REPEAT) =="
 "$SERVER" --repeat "$REPEAT" --json "$TMP/server.json"
-
-echo "== bench_module_cache (median of $REPEAT) =="
-# Nonzero exit = verdicts changed or the warm pass never hit the cache --
-# both are hard failures, not perf data points.
-"$MODCACHE" --repeat "$REPEAT" --json "$TMP/module_cache.json"
 
 echo "== bench_portfolio (median of $REPEAT) =="
 "$PORTFOLIO" --repeat "$REPEAT" --json "$TMP/portfolio.json" benchmarks || {
@@ -158,34 +152,13 @@ with open(os.path.join(tmp, "portfolio.json")) as f:
     report["portfolio"] = json.load(f)
 with open(os.path.join(tmp, "server.json")) as f:
     report["server_throughput"] = json.load(f)
-with open(os.path.join(tmp, "module_cache.json")) as f:
-    report["module_cache"] = json.load(f)
-
-# The harness already fails hard on mismatches; re-assert here so a stale
-# or hand-edited section cannot slip through the merge.
-if report["module_cache"]["verdict_mismatches"] != 0:
-    failures.append("module_cache: verdicts changed with the cache on")
 
 # Only the sections below join the gate. A baseline section this suite no
-# longer produces (modular_complement in BENCH_PR10.json) is never read.
+# longer produces (BENCH_PR10.json carries two) is never read.
 
-# The warm module-cache wall joins the regression gate once a baseline
-# carries the section (older baselines predate the harness and skip it).
-if baseline_path and "module_cache" in base_doc:
-    base_s = base_doc["module_cache"]["warm"]["wall_s"]
-    cur_s = report["module_cache"]["warm"]["wall_s"]
-    ratio = base_s / cur_s if cur_s > 0 else float("inf")
-    report["vs_baseline"]["module_cache_warm"] = {
-        "baseline_s": base_s,
-        "current_s": cur_s,
-        "speedup": round(ratio, 4),
-    }
-    if ratio < 1.0 - max_regress:
-        failures.append(
-            f"module_cache warm pass: {1/ratio:.3f}x slower than baseline")
-
-# The batch-server wall joins the gate the same way: present in the
-# baseline -> compared, absent (pre-termcheckd baselines) -> skipped.
+# The batch-server wall joins the gate when the baseline carries it:
+# present in the baseline -> compared, absent (pre-termcheckd baselines)
+# -> skipped.
 if baseline_path and "server_throughput" in base_doc:
     base_s = base_doc["server_throughput"]["wall_s"]
     cur_s = report["server_throughput"]["wall_s"]

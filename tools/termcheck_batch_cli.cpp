@@ -91,7 +91,7 @@ void usage(const char *Prog) {
       "  --deterministic        byte-reproducible reports\n"
       "  --no-nonterm           disable the nontermination prover\n"
       "  --max-states <N>       per-subtraction live-state cap\n"
-      "  --workers/--max-active/--queue-cap/--isolation/--module-cache\n"
+      "  --workers/--max-active/--queue-cap/--isolation\n"
       "                         forwarded to --spawn\n"
       "  --health               print the daemon's health line and exit\n"
       "  --inject-crash <N>     crash the worker of every Nth job (test "
@@ -461,9 +461,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--isolation") == 0) {
       DaemonArgs.push_back("--isolation");
       DaemonArgs.push_back(NeedsValue("--isolation"));
-    } else if (std::strcmp(Arg, "--module-cache") == 0) {
-      DaemonArgs.push_back("--module-cache");
-      DaemonArgs.push_back(NeedsValue("--module-cache"));
     } else if (std::strcmp(Arg, "--health") == 0)
       HealthProbe = true;
     else if (std::strcmp(Arg, "--inject-crash") == 0)

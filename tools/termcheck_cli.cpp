@@ -27,10 +27,6 @@
 ///                         a capped subtraction degrades to word-only
 ///                         removal instead of exhausting memory
 ///
-///     --module-cache <dir>
-///                         persist certified modules to dir and warm-start
-///                         later runs from them (every replay re-validated)
-///
 ///     --stats-json <f>    write the versioned JSON run report to f
 ///                         ('-' = stdout); schema "termcheck-run-report"
 ///     --trace <f>         stream typed trace events as JSONL to f
@@ -55,7 +51,6 @@
 #include "program/Parser.h"
 #include "support/Error.h"
 #include "support/Trace.h"
-#include "termination/ModuleCache.h"
 #include "termination/Portfolio.h"
 #include "termination/RunReport.h"
 
@@ -100,9 +95,6 @@ void usage(const char *Prog) {
       "  --max-states <N>        live-state cap per subtraction (0 =\n"
       "                          unlimited); capped subtractions degrade\n"
       "                          to word-only removal\n"
-      "  --module-cache <dir>    persist certified modules under dir and\n"
-      "                          warm-start later runs from them (cached\n"
-      "                          modules are re-validated before replay)\n"
       "  --dot-cfg               print the CFG as Graphviz and exit\n"
       "  --dot-modules           print each module as Graphviz\n"
       "  --quiet                 print the verdict only\n"
@@ -158,7 +150,6 @@ int runMain(int Argc, char **Argv) {
   long PortfolioK = 0, JobsN = 0;
   const char *Path = nullptr;
   const char *StatsJsonPath = nullptr, *TracePath = nullptr;
-  const char *ModuleCacheDir = nullptr;
 
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -222,8 +213,6 @@ int runMain(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--jobs") == 0) {
       JobsN = parseCount("--jobs", NeedsValue("--jobs"), 1, LONG_MAX,
                          "a positive worker-thread count");
-    } else if (std::strcmp(Arg, "--module-cache") == 0) {
-      ModuleCacheDir = NeedsValue("--module-cache");
     } else if (std::strcmp(Arg, "--stats-json") == 0) {
       StatsJsonPath = NeedsValue("--stats-json");
     } else if (std::strcmp(Arg, "--trace") == 0) {
@@ -324,15 +313,6 @@ int runMain(int Argc, char **Argv) {
     Opts.Tracer = Tracer.get();
   }
 
-  // Optional cross-run module cache: entries persist under the given
-  // directory, so a rerun of the same (or a shape-identical) program warm
-  // starts from its previously certified modules.
-  std::unique_ptr<ModuleCache> Cache;
-  if (ModuleCacheDir) {
-    Cache = std::make_unique<ModuleCache>(ModuleCacheDir);
-    Opts.Cache = Cache.get();
-  }
-
   AnalysisResult Result;
   PortfolioRunResult PR;
   std::string WinnerNote;
@@ -344,7 +324,6 @@ int runMain(int Argc, char **Argv) {
     PO.TimeoutSeconds = Opts.TimeoutSeconds;
     PO.DisableNonterm = !Opts.ProveNontermination;
     PO.MaxProductStates = Opts.MaxProductStates;
-    PO.Cache = Cache.get();
     PO.Tracer = Tracer.get();
     std::vector<PortfolioConfig> Configs =
         defaultPortfolio(static_cast<size_t>(PortfolioK));

@@ -25,15 +25,9 @@
 ///                          run jobs in forked, rlimit-budgeted worker
 ///                          processes so an engine crash costs one job,
 ///                          not the daemon (DESIGN.md section 15)
-///     --module-cache <dir> share one certified-module cache across every
-///                          job (and persist it under dir across daemon
-///                          restarts); sandboxed workers receive candidate
-///                          entries over the job pipe and ship fresh
-///                          certifications back (DESIGN.md section 16).
-///                          A cumulative "module-cache:" summary line is
-///                          printed to stderr at shutdown
 ///     --trace <file>       stream worker lifecycle + engine trace events
-///                          as JSONL
+///                          as JSONL; a trace that cannot be written makes
+///                          the exit code 1
 ///
 /// Shutdown: EOF on stdin or an in-band {"op":"drain"} drains gracefully
 /// (queued and running jobs finish, then a {"type":"drained"} line).
@@ -45,14 +39,14 @@
 /// The first SIGINT/SIGTERM also drains gracefully; a second one upgrades
 /// to a hard drain (queued jobs are cancelled, running analyses unwind at
 /// their next cancellation poll). Either way the process exits 0 only
-/// after every accepted job produced its result line.
+/// after every accepted job produced its result line and the trace, if
+/// any, was written.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
 
 #include "support/Trace.h"
-#include "termination/ModuleCache.h"
 
 #include <atomic>
 #include <cerrno>
@@ -64,6 +58,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 using namespace termcheck;
@@ -85,8 +80,6 @@ void usage(const char *Prog) {
                "ephemeral)\n"
                "  --isolation <mode>    inprocess | sandbox | auto "
                "(default auto)\n"
-               "  --module-cache <dir>  shared certified-module cache,\n"
-               "                        persisted under dir across restarts\n"
                "  --trace <file>        JSONL worker lifecycle trace\n",
                Prog);
 }
@@ -128,7 +121,6 @@ int main(int Argc, char **Argv) {
   // embedders opt in explicitly.)
   Opts.Sched.Isolation = server::IsolationMode::Auto;
   std::string TracePath;
-  std::string ModuleCacheDir;
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
     auto NeedsValue = [&](const char *Name) -> const char * {
@@ -168,9 +160,7 @@ int main(int Argc, char **Argv) {
       const char *V = NeedsValue("--isolation");
       if (!server::isolationModeFromName(V, Opts.Sched.Isolation))
         badValue("--isolation", V, "one of inprocess|sandbox|auto");
-    } else if (std::strcmp(Arg, "--module-cache") == 0)
-      ModuleCacheDir = NeedsValue("--module-cache");
-    else if (std::strcmp(Arg, "--trace") == 0)
+    } else if (std::strcmp(Arg, "--trace") == 0)
       TracePath = NeedsValue("--trace");
     else if (std::strcmp(Arg, "--help") == 0 ||
                std::strcmp(Arg, "-h") == 0) {
@@ -200,27 +190,19 @@ int main(int Argc, char **Argv) {
     Opts.Sched.Tracer = Tracer.get();
   }
 
-  // The shared module cache must outlive the Server (jobs consult it until
-  // the scheduler's destructor joins). Cumulative totals go to stderr at
-  // shutdown so operators (and check_server_e2e.sh) can see warm-start
-  // traffic without parsing every result line.
-  std::unique_ptr<ModuleCache> Cache;
-  if (!ModuleCacheDir.empty()) {
-    Cache = std::make_unique<ModuleCache>(ModuleCacheDir);
-    Opts.Sched.Cache = Cache.get();
-  }
-  auto PrintCacheSummary = [](const ModuleCache *MC) {
-    if (!MC)
-      return;
-    ModuleCacheStats T = MC->totals();
+  // Once a drain has finished no job emits events any more: flush the
+  // trace then, and report a stream that could not be written. A signal
+  // that drains a socket-only daemon ends both the stdio session and the
+  // signal helper, so the two may flush at the same time.
+  std::mutex TraceFlushM;
+  auto TraceWritten = [&TraceFile, &TracePath, &TraceFlushM] {
+    std::lock_guard<std::mutex> Lock(TraceFlushM);
+    if (TracePath.empty() || TraceFile.flush())
+      return true;
     std::fprintf(stderr,
-                 "termcheckd: module-cache: hits=%llu misses=%llu "
-                 "inserts=%llu validation_failures=%llu entries=%zu\n",
-                 static_cast<unsigned long long>(T.Hits),
-                 static_cast<unsigned long long>(T.Misses),
-                 static_cast<unsigned long long>(T.Inserts),
-                 static_cast<unsigned long long>(T.ValidationFailures),
-                 MC->size());
+                 "termcheckd: error: --trace: cannot write trace to '%s'\n",
+                 TracePath.c_str());
+    return false;
   };
 
   // Route SIGINT/SIGTERM through a dedicated sigwait thread (they are
@@ -248,7 +230,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::atomic<int> Signals{0};
-  std::thread([&S, &SigSet, &Signals, &Cache, &PrintCacheSummary] {
+  std::thread([&S, &SigSet, &Signals, &TraceWritten] {
     for (;;) {
       int Got = 0;
       if (sigwait(&SigSet, &Got) != 0)
@@ -260,13 +242,13 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr,
                      "termcheckd: draining (signal again to cancel "
                      "in-flight jobs)\n");
-        std::thread([&S, &Cache, &PrintCacheSummary] {
+        std::thread([&S, &TraceWritten] {
           S.drain(/*Hard=*/false);
           S.stopListeners();
-          PrintCacheSummary(Cache.get());
+          bool TraceOk = TraceWritten();
           std::fputs("{\"type\":\"drained\"}\n", stdout);
           std::fflush(stdout);
-          std::_Exit(0);
+          std::_Exit(TraceOk ? 0 : 1);
         }).detach();
       } else {
         // Second signal: upgrade to hard; the drain helper's awaitIdle
@@ -279,6 +261,7 @@ int main(int Argc, char **Argv) {
 
   int RC = S.serveStdio(std::cin, std::cout);
   S.stopListeners();
-  PrintCacheSummary(Cache.get());
+  if (!TraceWritten())
+    return 1;
   return RC;
 }
