@@ -4,17 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Drives the termcheckd two-tier scheduler (server/Scheduler.h) in
+/// Drives the termcheckd scheduler (server/Scheduler.h) in
 /// process -- no sockets, no JSON parsing -- so the number it reports is
 /// the scheduling-plus-analysis capacity of one daemon: jobs/sec over a
 /// seeded batch corpus, p50/p95 admission-to-completion latency, and how
 /// often open-throttle submission hit the admission queue's bound.
 ///
 /// Usage: bench_server_throughput [--json <path|->] [--repeat N]
-///                                [count] [workers] [max-active] [queue-cap]
+///                                [count] [max-active] [queue-cap]
 ///   count       corpus size                      (default 200)
-///   workers     shared pool threads, 0 = cores   (default 0)
-///   max-active  concurrent jobs (tier 1)         (default 4)
+///   max-active  concurrent jobs                  (default 4)
 ///   queue-cap   admission queue bound            (default 64)
 ///   --repeat N  medians over N runs              (default 1)
 ///   --json      machine-readable report in the shared
@@ -127,19 +126,18 @@ int main(int Argc, char **Argv) {
     Pos.push_back(Argv[I]);
   size_t Count = Pos.size() > 0 ? static_cast<size_t>(std::atol(Pos[0])) : 200;
   SchedulerConfig Cfg;
-  Cfg.Workers = Pos.size() > 1 ? static_cast<size_t>(std::atol(Pos[1])) : 0;
   Cfg.MaxActiveJobs =
-      Pos.size() > 2 ? static_cast<size_t>(std::atol(Pos[2])) : 4;
+      Pos.size() > 1 ? static_cast<size_t>(std::atol(Pos[1])) : 4;
   Cfg.QueueCapacity =
-      Pos.size() > 3 ? static_cast<size_t>(std::atol(Pos[3])) : 64;
+      Pos.size() > 2 ? static_cast<size_t>(std::atol(Pos[2])) : 64;
+  const size_t Workers = ThreadPool::defaultConcurrency();
 
   Rng R(0x5EED5EED);
   std::vector<BenchProgram> Corpus = batchPrograms(R, Count);
 
-  std::printf("server throughput: %zu jobs, %zu workers (0 = cores), "
+  std::printf("server throughput: %zu jobs, %zu workers (one per core), "
               "max-active %zu, queue-cap %zu, repeat %u\n",
-              Count, Cfg.Workers, Cfg.MaxActiveJobs, Cfg.QueueCapacity,
-              Repeat);
+              Count, Workers, Cfg.MaxActiveJobs, Cfg.QueueCapacity, Repeat);
   hr();
 
   // Medians across repeats, per metric: walls and latencies both flap
@@ -178,7 +176,7 @@ int main(int Argc, char **Argv) {
     W.beginObject();
     beginBenchReport(W, "server_throughput");
     W.field("jobs", static_cast<int64_t>(Count));
-    W.field("workers", static_cast<int64_t>(Cfg.Workers));
+    W.field("workers", static_cast<int64_t>(Workers));
     W.field("max_active", static_cast<int64_t>(Cfg.MaxActiveJobs));
     W.field("queue_cap", static_cast<int64_t>(Cfg.QueueCapacity));
     W.field("repeat", static_cast<int64_t>(Repeat));

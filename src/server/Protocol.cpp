@@ -73,11 +73,7 @@ JobOptions parseOptions(const json::Value &O) {
       Opts.DeadlineSeconds = secondsField(V, "deadline_s");
     else if (K == "portfolio")
       Opts.PortfolioK = static_cast<size_t>(countField(V, "portfolio"));
-    else if (K == "jobs") {
-      Opts.EntrantJobs = static_cast<size_t>(countField(V, "jobs"));
-      if (Opts.EntrantJobs == 0)
-        badRequest("option 'jobs' must be >= 1");
-    } else if (K == "deterministic")
+    else if (K == "deterministic")
       Opts.Deterministic = boolField(V, "deterministic");
     else if (K == "no_nonterm")
       Opts.NoNonterm = boolField(V, "no_nonterm");

@@ -11,9 +11,9 @@
 ///
 /// Requests:
 ///   {"op":"submit","id":"j1","program":"program p(i){...}",
-///    "options":{"timeout_s":10,"portfolio":4,"jobs":1,
-///               "deadline_s":30,"deterministic":true,
-///               "no_nonterm":false,"max_states":0}}
+///    "options":{"timeout_s":10,"portfolio":3,"deadline_s":30,
+///               "deterministic":true,"no_nonterm":false,
+///               "max_states":0}}
 ///   {"op":"stats"}        -- immediate server-stats response
 ///   {"op":"health"}       -- load gauges + sandbox worker-fleet counters
 ///   {"op":"cancel","id":"j1"}
@@ -74,10 +74,6 @@ struct JobOptions {
   /// Portfolio size: race the first K default configurations. 0 = run the
   /// single library-default configuration (the CLI without --portfolio).
   size_t PortfolioK = 0;
-  /// Tier-2 parallelism: how many pool tasks this one job may fan out
-  /// into. 1 = the deterministic sequential fallback (byte-reproducible
-  /// reports); clamped to the roster size.
-  size_t EntrantJobs = 1;
   /// Zero wall-clock-derived report fields (the CLI's
   /// --stats-deterministic).
   bool Deterministic = false;

@@ -390,10 +390,6 @@ bool readAllFd(int Fd, std::string &Out) {
     Attempt = static_cast<uint32_t>(Num(Doc, "attempt", 0));
     Cfg.DefaultMaxStatesPerJob =
         static_cast<uint64_t>(Num(Doc, "default_max_states", 0));
-    // The worker is single-threaded by construction (a multithreaded
-    // parent's forked child must not spawn threads); the report honestly
-    // echoes the sequential execution.
-    Spec.Opts.EntrantJobs = 1;
 
     childApplyLimits(CpuSeconds);
 
@@ -565,8 +561,5 @@ bool termcheck::server::parseWorkerOutcome(const std::string &Bytes,
     O.ReportPretty = RP->Str;
     O.ReportCompact = RC->Str;
   }
-  // The worker runs sequentially regardless of the submitted entrant
-  // parallelism; keep the echo honest in the parent too.
-  O.Opts.EntrantJobs = 1;
   return true;
 }

@@ -24,8 +24,8 @@
 /// Sanitizer note: under ASan/TSan the RLIMIT_AS budget is skipped (the
 /// shadow mappings dwarf any sane budget), and the worker never creates
 /// threads (a multithreaded parent's forked child must stay
-/// single-threaded under TSan) -- the child always runs the sequential
-/// Jobs == 1 analysis regardless of the submitted entrant parallelism.
+/// single-threaded under TSan) -- the child runs the sequential Jobs == 1
+/// analysis, like every in-process job.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- server/Scheduler.cpp - Two-tier batch job scheduler ----------------===//
+//===- server/Scheduler.cpp - Batch job scheduler -------------------------===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
@@ -51,7 +51,6 @@ RunReportInput reportInput(const JobOutcome &O) {
   In.SourcePath = O.Source;
   In.Result = &O.Result;
   In.Portfolio = O.Portfolio ? &*O.Portfolio : nullptr;
-  In.Jobs = O.Opts.EntrantJobs;
   In.TimeoutSeconds = O.Opts.TimeoutSeconds;
   In.TraceEvents = 0;
   return In;
@@ -206,18 +205,15 @@ std::string termcheck::server::healthLine(const HealthInfo &H) {
 // Scheduler
 //===----------------------------------------------------------------------===//
 
-/// One admitted job, shared between the queue, the monitor, the tier-2
-/// pool tasks, and the race callback. All mutable fields are written under
-/// the scheduler mutex; the token is safe to trip from anywhere.
+/// One admitted job, shared between the queue, the monitor and its pool
+/// task. All mutable fields are written under the scheduler mutex; the
+/// token is safe to trip from anywhere.
 struct Scheduler::Job {
   JobSpec Spec;
   CompletionFn Done;
   /// Per-job teardown: the deadline monitor, cancel(), and a hard drain
   /// all trip it; the analyzer polls it at every budget-hook site.
   CancellationToken Token;
-  /// The fan-out race (EntrantJobs > 1 jobs only), kept so the monitor can
-  /// cancel queued-but-unstarted entrants too.
-  std::optional<PortfolioRace> Race;
   /// Admission-relative clock (queue-wait measurement).
   Timer Admitted;
   /// Armed at admission when the job asked for a deadline.
@@ -235,8 +231,7 @@ struct Scheduler::Job {
 };
 
 Scheduler::Scheduler(const SchedulerConfig &C)
-    : Cfg(C),
-      Pool(C.Workers == 0 ? ThreadPool::defaultConcurrency() : C.Workers) {
+    : Cfg(C), Pool(ThreadPool::defaultConcurrency()) {
   if (Cfg.MaxActiveJobs == 0)
     Cfg.MaxActiveJobs = 1;
   Sup = std::make_unique<Supervisor>(Cfg);
@@ -264,12 +259,10 @@ Scheduler::Admission Scheduler::submit(JobSpec Spec, CompletionFn Done,
   // Normalize the analysis knobs once, at the admission boundary, so the
   // echo in the outcome (and the report built from it) reflects what
   // actually ran. An absent/zero/oversized timeout is clamped to the
-  // server budget; a non-portfolio job is single-analyzer by definition.
+  // server budget.
   if (Spec.Opts.TimeoutSeconds <= 0 ||
       Spec.Opts.TimeoutSeconds > Cfg.MaxTimeoutSeconds)
     Spec.Opts.TimeoutSeconds = Cfg.MaxTimeoutSeconds;
-  if (Spec.Opts.PortfolioK == 0)
-    Spec.Opts.EntrantJobs = 1;
 
   auto J = std::make_shared<Job>();
   J->Spec = std::move(Spec);
@@ -315,8 +308,6 @@ bool Scheduler::cancel(const std::string &Id) {
     if (J->Spec.Id == Id) {
       J->CancelRequested = true;
       J->Token.cancel();
-      if (J->Race)
-        J->Race->cancel();
       return true;
     }
   return false;
@@ -334,8 +325,6 @@ void Scheduler::beginDrain(bool Hard) {
       for (const auto &J : Active) {
         J->CancelRequested = true;
         J->Token.cancel();
-        if (J->Race)
-          J->Race->cancel();
       }
     }
   }
@@ -490,8 +479,8 @@ void Scheduler::launchLocked(const std::shared_ptr<Job> &J) {
 
     // Isolation dispatch: sandboxed jobs hand the whole execution --
     // parsing included, a parser crash is still a crash -- to the
-    // supervisor, which blocks this task for the worker's lifetime (the
-    // same tier-2 slot accounting the sequential in-process path has).
+    // supervisor, which blocks this task for the worker's lifetime, as an
+    // in-process job blocks it for its analysis.
     bool UseSandbox = false;
     switch (Cfg.Isolation) {
     case IsolationMode::InProcess:
@@ -509,50 +498,8 @@ void Scheduler::launchLocked(const std::shared_ptr<Job> &J) {
       return;
     }
 
-    const JobOptions &JO = J->Spec.Opts;
-    if (JO.PortfolioK > 0 && JO.EntrantJobs > 1) {
-      ParseResult Parsed = parseProgram(J->Spec.ProgramText);
-      if (!Parsed.ok()) {
-        O.Status = JobStatus::ParseError;
-        O.Diagnostic = Parsed.Error;
-        O.QueueSeconds = J->QueueSeconds;
-        O.RunSeconds = J->RunClock.seconds();
-        finish(J, std::move(O));
-        return;
-      }
-      Program &P = *Parsed.Prog;
-      O.ProgramName = P.name();
-      // Fan-out: one pool task per entrant on the SAME pool this task runs
-      // on; this task only launches the race and returns, so the pool
-      // never has a task blocked on another task.
-      PortfolioOptions PO;
-      PO.TimeoutSeconds = JO.TimeoutSeconds;
-      PO.DisableNonterm = JO.NoNonterm;
-      PO.MaxProductStates = JO.MaxStates;
-      if (Cfg.DefaultMaxStatesPerJob != 0)
-        PO.GuardLimits.MaxStates = Cfg.DefaultMaxStatesPerJob;
-      std::vector<PortfolioConfig> Configs = defaultPortfolio(JO.PortfolioK);
-      PortfolioRace Race(P, std::move(Configs), PO);
-      {
-        std::lock_guard<std::mutex> Lock(M);
-        J->Race = Race;
-        // A cancel/deadline that slipped in between the task's first check
-        // and here saw no race to cancel; re-check now that it is visible.
-        if (J->Token.cancelled())
-          J->Race->cancel();
-      }
-      auto Outcome = std::make_shared<JobOutcome>(std::move(O));
-      Race.start(Pool, [this, J, Outcome](PortfolioRunResult PR) {
-        Outcome->Result = std::move(PR.Result);
-        Outcome->Result.Seconds = PR.Seconds;
-        Outcome->Portfolio = std::move(PR);
-        finishWithVerdict(J, std::move(*Outcome));
-      });
-      return;
-    }
-
-    // Sequential portfolio and single-configuration jobs run the exact
-    // code a sandbox worker child runs, on this task's thread.
+    // In process: the exact code a sandbox worker child runs, on this
+    // task's thread.
     executeJobSync(J->Spec, Cfg, &J->Token, O);
     if (O.Status == JobStatus::ParseError) {
       O.QueueSeconds = J->QueueSeconds;
@@ -663,7 +610,7 @@ void Scheduler::monitorLoop() {
     if (Shutdown)
       break;
     // Reap queued jobs that died waiting (deadline, cancel, hard drain):
-    // they must not wait for a tier-1 slot just to report their teardown.
+    // they must not wait for an active slot just to report their teardown.
     std::vector<std::shared_ptr<Job>> Reaped;
     for (auto It = Pending.begin(); It != Pending.end();) {
       Job &J = **It;
@@ -685,8 +632,6 @@ void Scheduler::monitorLoop() {
           J->JobDeadline.expired()) {
         J->DeadlineFired = true;
         J->Token.cancel();
-        if (J->Race)
-          J->Race->cancel();
       }
     if (Reaped.empty())
       continue;

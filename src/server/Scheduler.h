@@ -1,25 +1,20 @@
-//===- server/Scheduler.h - Two-tier batch job scheduler ------*- C++ -*-===//
+//===- server/Scheduler.h - Batch job scheduler ---------------*- C++ -*-===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scheduling core of `termcheckd` (DESIGN.md section 14): program-level
-/// parallelism layered on top of the entrant-level portfolio.
+/// The scheduling core of `termcheckd` (DESIGN.md section 14): many
+/// programs analyzed at once on one thread pool.
 ///
-/// Two tiers share ONE thread pool:
-///
-///  * Tier 1 -- jobs. Submissions pass admission control (a bounded queue;
-///    a full queue answers `queue_full` instead of buffering without
-///    bound) and at most MaxActiveJobs of them are in flight at once.
-///
-///  * Tier 2 -- entrants. An active job fans out into pool tasks: one
-///    task that parses and runs the deterministic sequential portfolio
-///    (EntrantJobs == 1), or a PortfolioRace submitting one task per
-///    racing configuration (EntrantJobs > 1). No task ever blocks waiting
-///    for another task, so the shared pool cannot deadlock regardless of
-///    how jobs and entrants interleave on it.
+/// Submissions pass admission control (a bounded queue; a full queue
+/// answers `queue_full` instead of buffering without bound) and at most
+/// MaxActiveJobs of them are in flight at once. Every active job is one
+/// pool task: it runs executeJobSync in process -- the library-default
+/// analyzer or the deterministic sequential portfolio -- or hands the job
+/// to a supervised sandbox worker, which runs the same code. The pool has
+/// one thread per core, so MaxActiveJobs is the one concurrency knob.
 ///
 /// Containment is per job: every job gets its own CancellationToken (the
 /// deadline monitor and drain trip it; the analyzer polls it at every
@@ -55,9 +50,7 @@ class Supervisor;
 
 /// Fleet-level knobs of one scheduler instance.
 struct SchedulerConfig {
-  /// Shared pool size; 0 = hardware concurrency.
-  size_t Workers = 0;
-  /// Tier-1 concurrency: jobs allowed to have tasks in flight at once.
+  /// Jobs allowed to run at once; each holds one pool task.
   size_t MaxActiveJobs = 4;
   /// Admission-queue bound; a submission beyond it is rejected with
   /// queue_full (backpressure, never unbounded buffering).
@@ -160,16 +153,15 @@ struct JobOutcome {
 /// and the sandbox worker child -- both isolation modes run exactly this
 /// code, which is what makes their reports comparable. Fills Status
 /// (Finished or ParseError), ProgramName, Diagnostic, Result, Portfolio;
-/// identity fields and timings are the caller's. Race fan-out
-/// (EntrantJobs > 1) is not handled here.
+/// identity fields and timings are the caller's.
 void executeJobSync(const JobSpec &Spec, const SchedulerConfig &Cfg,
                     CancellationToken *Cancel, JobOutcome &O);
 
 /// Writes the job's standalone run report -- byte-for-byte what
-/// `termcheck --stats-json` emits for the same program and options (the
-/// determinism gate in tests/server_scheduler_test.cpp pins this for
-/// EntrantJobs == 1 deterministic jobs). Only valid when the outcome has a
-/// result (Status != ParseError).
+/// `termcheck --jobs 1 --stats-json` emits for the same program and
+/// options (the determinism gate in tests/server_scheduler_test.cpp pins
+/// this for deterministic jobs). Only valid when the outcome has a result
+/// (Status != ParseError).
 void writeOutcomeReport(std::ostream &OS, const JobOutcome &O,
                         bool Pretty = true);
 
@@ -232,8 +224,8 @@ struct HealthInfo {
 /// One `health` protocol line.
 std::string healthLine(const HealthInfo &H);
 
-/// The two-tier scheduler. Thread-safe; submit() may be called from any
-/// number of session threads concurrently.
+/// The job scheduler. Thread-safe; submit() may be called from any number
+/// of session threads concurrently.
 class Scheduler {
 public:
   /// What submit() said about a job.
@@ -285,9 +277,6 @@ public:
   /// The `{"op":"health"}` snapshot (stats gauges + worker-fleet state).
   HealthInfo health() const;
 
-  /// The shared pool (tests and the throughput bench size probes by it).
-  size_t workers() const { return Pool.numThreads(); }
-
 private:
   struct Job;
 
@@ -314,10 +303,10 @@ private:
   std::thread Monitor;
 
   void monitorLoop();
-  /// Moves queued jobs into the active set while tier-1 slots are free.
+  /// Moves queued jobs into the active set while active slots are free.
   /// Caller holds M.
   void activateLocked();
-  /// Submits the tier-2 work of \p J to the pool. Caller holds M.
+  /// Submits \p J's one pool task. Caller holds M.
   void launchLocked(const std::shared_ptr<Job> &J);
   /// Stamps the outcome's final status from the job's teardown flags
   /// (deadline beats cancel beats finished), then hands off to finish().

@@ -212,6 +212,9 @@ struct Server::Listeners {
   uint16_t TcpPort = 0;
   std::string UnixPath;
 
+  /// stopListeners runs its body once; a concurrent second caller waits
+  /// for the first to finish.
+  std::once_flag StopOnce;
   std::mutex M;
   bool Stopping = false;
   /// startListeners succeeded; serveStdio parks on stdin EOF instead of
@@ -423,10 +426,15 @@ bool Server::startListeners(std::string *Error) {
 }
 
 void Server::stopListeners() {
+  // A signal drain of a socket-only daemon calls this from the drain
+  // helper and from the main thread at once; without the once-guard both
+  // would close the same fds and join the same threads.
+  std::call_once(L->StopOnce, [this] { stopListenersOnce(); });
+}
+
+void Server::stopListenersOnce() {
   {
     std::lock_guard<std::mutex> Lock(L->M);
-    if (L->Stopping && L->AcceptThreads.empty() && L->ConnThreads.empty())
-      return;
     L->Stopping = true;
     // A serveStdio parked on stdin-EOF must not outlive the listeners.
     L->DrainRequested = true;

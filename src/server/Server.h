@@ -9,8 +9,8 @@
 /// (server/Protocol.h) over two transports -- the process's stdin/stdout,
 /// and a local listener (Unix socket and/or loopback TCP) serving any
 /// number of concurrent connections -- all multiplexed onto ONE Scheduler
-/// (server/Scheduler.h), so admission control and the two-tier pool are
-/// global across transports.
+/// (server/Scheduler.h), so admission control and the job pool are global
+/// across transports.
 ///
 /// The session logic itself is one pure-ish function, handleRequestLine():
 /// request line in, response lines out through a thread-safe sink (job
@@ -83,7 +83,8 @@ public:
   bool startListeners(std::string *Error = nullptr);
 
   /// Closes listeners and all open connections; joins their threads.
-  /// Idempotent; the destructor calls it.
+  /// Runs once: a concurrent or later call waits for the first one to
+  /// finish and then returns. The destructor calls it.
   void stopListeners();
 
   /// The ephemeral TCP port after startListeners (0 when TCP is off).
@@ -105,6 +106,8 @@ private:
   /// serveStdio); called by drain() and by any transport that saw an
   /// in-band drain request.
   void noteDrainRequested();
+  /// The body of stopListeners.
+  void stopListenersOnce();
 
   ServerOptions Opts;
   Scheduler Sched;

@@ -218,9 +218,6 @@ JobOutcome Supervisor::run(const JobSpec &Spec, CancellationToken &Token) {
   O.Id = Spec.Id;
   O.Source = Spec.Source;
   O.Opts = Spec.Opts;
-  // The worker always runs the sequential analysis (fork from a
-  // multithreaded parent); keep the echo honest.
-  O.Opts.EntrantJobs = 1;
   O.Sandboxed = true;
 
   const uint64_t Shape = programShapeHash(Spec.ProgramText);

@@ -31,10 +31,10 @@
 ///    later submissions to UNKNOWN with a `quarantined` flag instead of
 ///    burning more workers.
 ///
-/// run() blocks its calling pool task for the worker's lifetime -- the
-/// same tier-2 slot accounting the in-process sequential path has. All
-/// methods are thread-safe; MaxActiveJobs callers drive workers
-/// concurrently through one Supervisor.
+/// run() blocks its calling pool task for the worker's lifetime, as an
+/// in-process job blocks it for its analysis. All methods are
+/// thread-safe; MaxActiveJobs callers drive workers concurrently through
+/// one Supervisor.
 ///
 //===----------------------------------------------------------------------===//
 

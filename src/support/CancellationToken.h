@@ -17,6 +17,11 @@
 /// data, only a "stop soon" hint, and the portfolio joins its workers
 /// before reading any of their results.
 ///
+/// A token may follow a parent: it then also reports the parent's
+/// cancellation. A portfolio race's token follows its caller's, so one
+/// external cancel reaches every entrant while a winner still stops only
+/// its own race.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TERMCHECK_SUPPORT_CANCELLATIONTOKEN_H
@@ -30,6 +35,10 @@ namespace termcheck {
 class CancellationToken {
 public:
   CancellationToken() = default;
+  /// A token that is also cancelled once \p Parent is (null = none).
+  /// \p Parent must outlive it.
+  explicit CancellationToken(const CancellationToken *Parent) noexcept
+      : Parent(Parent) {}
   CancellationToken(const CancellationToken &) = delete;
   CancellationToken &operator=(const CancellationToken &) = delete;
 
@@ -37,13 +46,16 @@ public:
   /// times.
   void cancel() noexcept { Flag.store(true, std::memory_order_relaxed); }
 
-  /// \returns true once cancel() has been called.
+  /// \returns true once cancel() has been called on this token or its
+  /// parent.
   bool cancelled() const noexcept {
-    return Flag.load(std::memory_order_relaxed);
+    return Flag.load(std::memory_order_relaxed) ||
+           (Parent && Parent->cancelled());
   }
 
 private:
   std::atomic<bool> Flag{false};
+  const CancellationToken *Parent = nullptr;
 };
 
 } // namespace termcheck

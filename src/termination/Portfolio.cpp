@@ -13,7 +13,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -108,198 +107,113 @@ void recordRun(Statistics &Merged, const PortfolioConfig &C,
 /// retired from the race -- it produced no result slot -- but its failure
 /// kind stays visible for diagnosis.
 void recordFault(Statistics &Merged, const PortfolioConfig &C,
-                 const EngineError &E) {
+                 const std::string &Kind) {
   Merged.add("portfolio.started");
   Merged.add("portfolio.faulted");
-  Merged.add("cfg." + C.Name + ".fault." + errorKindName(E.kind()));
+  Merged.add("cfg." + C.Name + ".fault." + Kind);
 }
 
-} // namespace
-
-PortfolioRunResult
-termcheck::runPortfolio(const Program &P,
-                        const std::vector<PortfolioConfig> &Configs,
-                        const PortfolioOptions &Opts) {
-  Timer Watch;
-  PortfolioRunResult Out;
-  if (Configs.empty()) {
-    Out.Result.V = Verdict::Unknown;
-    Out.WinnerName = "<empty portfolio>";
-    return Out;
-  }
-
-  const size_t None = Configs.size();
-  size_t Jobs = Opts.Jobs == 0 ? ThreadPool::defaultConcurrency() : Opts.Jobs;
-  Out.Merged.add("portfolio.configs", static_cast<int64_t>(Configs.size()));
-  Out.Entrants.resize(Configs.size());
-  for (size_t I = 0; I < Configs.size(); ++I)
-    Out.Entrants[I].Name = Configs[I].Name;
-  Trace *Tracer = Opts.Tracer;
-
-  // One guard meters the whole race: entrants draw from a shared budget,
-  // so K configurations cannot multiply the memory footprint by K.
-  std::optional<ResourceGuard> GuardStorage;
-  ResourceGuard *Guard = nullptr;
-  if (Opts.GuardLimits.MaxStates != 0 || Opts.GuardLimits.MaxApproxBytes != 0) {
-    GuardStorage.emplace(Opts.GuardLimits);
-    Guard = &*GuardStorage;
-  }
-
-  if (Jobs == 1) {
-    // Deterministic fallback: no threads, roster order, stop at the first
-    // conclusive verdict. Identical inputs yield identical dumps. When
-    // nobody concludes, the reported result is the first Unknown (it
-    // carries a counterexample lasso) and only then the first finished one.
-    // A faulted entrant is quarantined and the roster moves on; if every
-    // entrant faults the race still returns, with an Unknown verdict.
-    Out.WinnerIndex = None;
-    bool HaveFallback = false;
-    bool FallbackIsUnknown = false;
-    for (size_t I = 0; I < Configs.size(); ++I) {
-      // An externally cancelled run stops starting entrants, mirroring the
-      // parallel race (queued entrants never start after cancel()).
-      if (Opts.Cancel && Opts.Cancel->cancelled())
-        break;
-      EntrantTimeline &TL = Out.Entrants[I];
-      TL.Started = true;
-      TL.SpawnSeconds = Watch.seconds();
-      if (Tracer)
-        Tracer->emit(TraceEvent(TraceEventKind::EntrantSpawn)
-                         .with("entrant", Configs[I].Name)
-                         .with("index", static_cast<int64_t>(I)));
-      Program Local = P;
-      TerminationAnalyzer A(
-          Local, effectiveOptions(Configs[I], Opts, Opts.Cancel, Guard));
-      ErrorOr<AnalysisResult> R = errorOrOf([&A] { return A.run(); });
-      TL.FinishSeconds = Watch.seconds();
-      if (!R.ok()) {
-        ++Out.FaultedEntrants;
-        recordFault(Out.Merged, Configs[I], R.error());
-        TL.Faulted = true;
-        TL.FaultKind = errorKindName(R.error().kind());
-        if (Tracer)
-          Tracer->emit(TraceEvent(TraceEventKind::EntrantFault)
-                           .with("entrant", Configs[I].Name)
-                           .with("kind", TL.FaultKind));
-        continue;
-      }
-      recordRun(Out.Merged, Configs[I], R.value());
-      TL.V = R.value().V;
-      if (Tracer)
-        Tracer->emit(TraceEvent(TraceEventKind::EntrantResult)
-                         .with("entrant", Configs[I].Name)
-                         .with("verdict", verdictName(R.value().V)));
-      bool Won = isConclusive(R.value().V);
-      if (Won || !HaveFallback ||
-          (!FallbackIsUnknown && R.value().V == Verdict::Unknown)) {
-        HaveFallback = true;
-        FallbackIsUnknown = R.value().V == Verdict::Unknown;
-        Out.Result = std::move(R.value());
-        Out.WinnerIndex = Won ? I : None;
-        Out.WinnerName = Won ? Configs[I].Name : "";
-      }
-      if (Won) {
-        TL.Won = true;
-        if (Tracer)
-          Tracer->emit(TraceEvent(TraceEventKind::RaceDecided)
-                           .with("winner", Configs[I].Name));
-        break;
-      }
-    }
-    if (!HaveFallback) {
-      if (Opts.Cancel && Opts.Cancel->cancelled()) {
-        Out.Result.V = Verdict::Cancelled;
-        Out.WinnerName = "<cancelled before any entrant ran>";
-      } else {
-        Out.Result.V = Verdict::Unknown;
-        Out.WinnerName = "<all entrants faulted>";
-      }
-    }
-    if (Out.WinnerIndex != None)
-      Out.Merged.add("portfolio.winner_index",
-                     static_cast<int64_t>(Out.WinnerIndex));
-    Out.Seconds = Watch.seconds();
-    return Out;
-  }
-
-  // The race, delegated to the shared event-driven core on a private pool
-  // (the CLI owns the whole process, so a per-race pool is fine there; the
-  // server reuses PortfolioRace directly on its shared pool instead). The
-  // per-race bookkeeping Out accumulated so far is rebuilt by the race's
-  // finalizer, so hand over a fresh result.
-  PortfolioRace Race(P, Configs, Opts);
-  std::mutex DoneM;
-  std::condition_variable DoneCv;
-  bool DoneFlag = false;
-  PortfolioRunResult Result;
-  {
-    ThreadPool Pool(std::min(Jobs, Configs.size()));
-    Race.start(Pool, [&](PortfolioRunResult R) {
-      {
-        std::lock_guard<std::mutex> Lock(DoneM);
-        Result = std::move(R);
-        DoneFlag = true;
-      }
-      DoneCv.notify_all();
-    });
-    std::unique_lock<std::mutex> Lock(DoneM);
-    DoneCv.wait(Lock, [&] { return DoneFlag; });
-  }
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// PortfolioRace
-//===----------------------------------------------------------------------===//
-
-struct PortfolioRace::State {
-  Program Prog; // master copy; every entrant copies from it
-  std::vector<PortfolioConfig> Configs;
-  PortfolioOptions Opts;
-  Timer Watch;
-  CancellationToken Token;
-  std::optional<ResourceGuard> GuardStorage;
-  ResourceGuard *Guard = nullptr;
-
-  std::mutex M;
-  std::vector<std::optional<AnalysisResult>> Slots;
-  std::vector<std::optional<EngineError>> Faults;
-  std::vector<EntrantTimeline> Entrants;
-  size_t Winner;
-  size_t ForeignEscapes = 0;
-  size_t Remaining;
-  std::function<void(PortfolioRunResult)> Done;
-
-  explicit State(const Program &P, std::vector<PortfolioConfig> Cs,
-                 const PortfolioOptions &O)
-      : Prog(P), Configs(std::move(Cs)), Opts(O),
-        Slots(Configs.size()), Faults(Configs.size()),
-        Entrants(Configs.size()), Winner(Configs.size()),
-        Remaining(Configs.size()) {
+/// One race over a roster: every entrant's result slot, fault and
+/// timeline, and the token the winner trips to stop the others. runEntrant
+/// is the one entrant routine -- called inline in roster order when
+/// Jobs == 1, and from pool workers when Jobs > 1 -- and finalize runs
+/// once, after the last entrant returned.
+class Race {
+public:
+  Race(const Program &P, const std::vector<PortfolioConfig> &Configs,
+       const PortfolioOptions &Opts)
+      : P(P), Configs(Configs), Opts(Opts), Token(Opts.Cancel),
+        Slots(Configs.size()), Entrants(Configs.size()),
+        Winner(Configs.size()) {
     for (size_t I = 0; I < Configs.size(); ++I)
       Entrants[I].Name = Configs[I].Name;
-    if (O.GuardLimits.MaxStates != 0 || O.GuardLimits.MaxApproxBytes != 0) {
-      GuardStorage.emplace(O.GuardLimits);
+    // One guard meters the whole race: entrants draw from a shared budget,
+    // so K configurations cannot multiply the memory footprint by K.
+    if (Opts.GuardLimits.MaxStates != 0 ||
+        Opts.GuardLimits.MaxApproxBytes != 0) {
+      GuardStorage.emplace(Opts.GuardLimits);
       Guard = &*GuardStorage;
     }
   }
+  Race(const Race &) = delete;
+  Race &operator=(const Race &) = delete;
 
-  /// Merges the quiescent per-entrant slots into the final result. Called
-  /// exactly once, by whichever worker decrements Remaining to zero; at
-  /// that point no other thread touches the race, so no lock is needed.
+  /// Runs entrant \p I, unless a winner or the caller's Cancel already
+  /// stopped the race.
+  void runEntrant(size_t I) {
+    if (Token.cancelled())
+      return;
+    Trace *Tracer = Opts.Tracer;
+    // Only this call writes timeline slot I, and finalize runs after the
+    // last entrant returned, so the slot needs no lock.
+    EntrantTimeline &TL = Entrants[I];
+    TL.Started = true;
+    TL.SpawnSeconds = Watch.seconds();
+    if (Tracer)
+      Tracer->emit(TraceEvent(TraceEventKind::EntrantSpawn)
+                       .with("entrant", Configs[I].Name)
+                       .with("index", static_cast<int64_t>(I)));
+    // Quarantine boundary: an entrant that throws is retired but takes
+    // neither the race nor its thread down. errorOrOf folds everything
+    // derived from std::exception; a truly foreign throw (throw 42;) is
+    // caught here.
+    ErrorOr<AnalysisResult> R = [&]() -> ErrorOr<AnalysisResult> {
+      try {
+        return errorOrOf([&] {
+          Program Local = P;
+          TerminationAnalyzer A(
+              Local, effectiveOptions(Configs[I], Opts, &Token, Guard));
+          return A.run();
+        });
+      } catch (...) {
+        std::lock_guard<std::mutex> Lock(M);
+        ++ForeignEscapes;
+        return ErrorOr<AnalysisResult>(EngineError(
+            ErrorKind::InternalInvariant,
+            "non-standard exception escaped a portfolio entrant"));
+      }
+    }();
+    TL.FinishSeconds = Watch.seconds();
+    std::lock_guard<std::mutex> Lock(M);
+    if (!R.ok()) {
+      TL.Faulted = true;
+      TL.FaultKind = errorKindName(R.error().kind());
+      if (Tracer)
+        Tracer->emit(TraceEvent(TraceEventKind::EntrantFault)
+                         .with("entrant", Configs[I].Name)
+                         .with("kind", TL.FaultKind));
+      return;
+    }
+    TL.V = R.value().V;
+    if (Tracer)
+      Tracer->emit(TraceEvent(TraceEventKind::EntrantResult)
+                       .with("entrant", Configs[I].Name)
+                       .with("verdict", verdictName(TL.V)));
+    if (isConclusive(TL.V) && Winner == Configs.size()) {
+      Winner = I;
+      TL.Won = true;
+      Token.cancel();
+      if (Tracer)
+        Tracer->emit(TraceEvent(TraceEventKind::RaceDecided)
+                         .with("winner", Configs[I].Name));
+    }
+    Slots[I] = std::move(R.value());
+  }
+
+  /// Merges the per-entrant slots into the race's result, in roster order.
   PortfolioRunResult finalize() {
     const size_t None = Configs.size();
     PortfolioRunResult Out;
     Out.Merged.add("portfolio.configs", static_cast<int64_t>(Configs.size()));
-    Out.Entrants = std::move(Entrants);
     for (size_t I = 0; I < Configs.size(); ++I) {
       if (Slots[I])
         recordRun(Out.Merged, Configs[I], *Slots[I]);
-      if (Faults[I]) {
+      if (Entrants[I].Faulted) {
         ++Out.FaultedEntrants;
-        recordFault(Out.Merged, Configs[I], *Faults[I]);
+        recordFault(Out.Merged, Configs[I], Entrants[I].FaultKind);
       }
     }
+    Out.Entrants = std::move(Entrants);
     if (ForeignEscapes != 0)
       Out.Merged.add("portfolio.worker_escapes",
                      static_cast<int64_t>(ForeignEscapes));
@@ -309,130 +223,73 @@ struct PortfolioRace::State {
       Out.Result = std::move(*Slots[Winner]);
       Out.WinnerName = Configs[Winner].Name;
       Out.Merged.add("portfolio.winner_index", static_cast<int64_t>(Winner));
+    } else if (size_t Pick = fallback(); Pick != None) {
+      Out.Result = std::move(*Slots[Pick]);
+    } else if (Opts.Cancel && Opts.Cancel->cancelled()) {
+      Out.Result.V = Verdict::Cancelled;
+      Out.WinnerName = "<cancelled before any entrant ran>";
     } else {
-      // Nobody was conclusive; prefer the first Unknown result (it carries
-      // a counterexample lasso), then the first finished one, and only when
-      // every entrant faulted or was cancelled unstarted, a bare Unknown.
-      size_t Pick = None;
-      for (size_t I = 0; I < Slots.size(); ++I)
-        if (Slots[I] && Slots[I]->V == Verdict::Unknown) {
-          Pick = I;
-          break;
-        }
-      if (Pick == None)
-        for (size_t I = 0; I < Slots.size(); ++I)
-          if (Slots[I]) {
-            Pick = I;
-            break;
-          }
-      if (Pick != None) {
-        Out.Result = std::move(*Slots[Pick]);
-      } else {
-        Out.Result.V = Verdict::Unknown;
-        Out.WinnerName = "<all entrants faulted>";
-      }
+      Out.Result.V = Verdict::Unknown;
+      Out.WinnerName = "<all entrants faulted>";
     }
     Out.Seconds = Watch.seconds();
     return Out;
   }
+
+private:
+  /// Nobody was conclusive: the first Unknown result (it carries a
+  /// counterexample lasso), else the first finished one, else None.
+  size_t fallback() const {
+    for (size_t I = 0; I < Slots.size(); ++I)
+      if (Slots[I] && Slots[I]->V == Verdict::Unknown)
+        return I;
+    for (size_t I = 0; I < Slots.size(); ++I)
+      if (Slots[I])
+        return I;
+    return Slots.size();
+  }
+
+  const Program &P;
+  const std::vector<PortfolioConfig> &Configs;
+  const PortfolioOptions &Opts;
+  Timer Watch;
+  /// Tripped by the winner; also reports the caller's Cancel.
+  CancellationToken Token;
+  std::optional<ResourceGuard> GuardStorage;
+  ResourceGuard *Guard = nullptr;
+
+  std::mutex M;
+  std::vector<std::optional<AnalysisResult>> Slots;
+  std::vector<EntrantTimeline> Entrants;
+  size_t Winner;
+  size_t ForeignEscapes = 0;
 };
 
-PortfolioRace::PortfolioRace(const Program &P,
-                             std::vector<PortfolioConfig> Configs,
-                             const PortfolioOptions &Opts)
-    : St(std::make_shared<State>(P, std::move(Configs), Opts)) {}
+} // namespace
 
-void PortfolioRace::cancel() { St->Token.cancel(); }
-
-void PortfolioRace::start(ThreadPool &Pool,
-                          std::function<void(PortfolioRunResult)> Done) {
-  if (St->Configs.empty()) {
+PortfolioRunResult
+termcheck::runPortfolio(const Program &P,
+                        const std::vector<PortfolioConfig> &Configs,
+                        const PortfolioOptions &Opts) {
+  if (Configs.empty()) {
     PortfolioRunResult Out;
     Out.Result.V = Verdict::Unknown;
     Out.WinnerName = "<empty portfolio>";
-    Done(std::move(Out));
-    return;
+    return Out;
   }
-  St->Done = std::move(Done);
-  const size_t None = St->Configs.size();
-  for (size_t I = 0; I < St->Configs.size(); ++I) {
-    // Each task keeps the state alive; the handle may be dropped as soon
-    // as start() returns.
-    std::shared_ptr<State> S = St;
-    Pool.submit([S, I, None] {
-      Trace *Tracer = S->Opts.Tracer;
-      // A queued entrant whose race is already decided (or whose job was
-      // cancelled by a deadline or a draining server) never starts.
-      if (!S->Token.cancelled()) {
-        // Timeline slots are per-entrant: only this task writes slot I,
-        // and the finalizer runs strictly after the last decrement, so
-        // writing outside M is race-free.
-        EntrantTimeline &TL = S->Entrants[I];
-        TL.Started = true;
-        TL.SpawnSeconds = S->Watch.seconds();
-        if (Tracer)
-          Tracer->emit(TraceEvent(TraceEventKind::EntrantSpawn)
-                           .with("entrant", S->Configs[I].Name)
-                           .with("index", static_cast<int64_t>(I)));
-        // Quarantine boundary: a worker that throws retires its entrant
-        // but must not take the race (or the pool thread) down with it.
-        // errorOrOf folds everything derived from std::exception; a truly
-        // foreign throw (throw 42;) is caught below so the race still
-        // completes -- on a shared server pool nobody drains the pool's
-        // failure channel per race.
-        ErrorOr<AnalysisResult> R = [&]() -> ErrorOr<AnalysisResult> {
-          try {
-            Program Local = S->Prog;
-            TerminationAnalyzer A(
-                Local, effectiveOptions(S->Configs[I], S->Opts, &S->Token,
-                                        S->Guard));
-            return errorOrOf([&A] { return A.run(); });
-          } catch (...) {
-            std::lock_guard<std::mutex> Lock(S->M);
-            ++S->ForeignEscapes;
-            return ErrorOr<AnalysisResult>(EngineError(
-                ErrorKind::InternalInvariant,
-                "non-standard exception escaped a portfolio worker"));
-          }
-        }();
-        TL.FinishSeconds = S->Watch.seconds();
-        std::lock_guard<std::mutex> Lock(S->M);
-        if (!R.ok()) {
-          S->Faults[I] = R.error();
-          TL.Faulted = true;
-          TL.FaultKind = errorKindName(R.error().kind());
-          if (Tracer)
-            Tracer->emit(TraceEvent(TraceEventKind::EntrantFault)
-                             .with("entrant", S->Configs[I].Name)
-                             .with("kind", TL.FaultKind));
-        } else {
-          TL.V = R.value().V;
-          if (Tracer)
-            Tracer->emit(TraceEvent(TraceEventKind::EntrantResult)
-                             .with("entrant", S->Configs[I].Name)
-                             .with("verdict", verdictName(R.value().V)));
-          if (isConclusive(R.value().V) && S->Winner == None) {
-            S->Winner = I;
-            TL.Won = true;
-            S->Token.cancel();
-            if (Tracer)
-              Tracer->emit(TraceEvent(TraceEventKind::RaceDecided)
-                               .with("winner", S->Configs[I].Name));
-          }
-          S->Slots[I] = std::move(R.value());
-        }
-      }
-      // Completion mark: the last entrant (started or skipped) finalizes
-      // and fires the callback outside the lock.
-      bool Last;
-      {
-        std::lock_guard<std::mutex> Lock(S->M);
-        Last = --S->Remaining == 0;
-      }
-      if (Last) {
-        std::function<void(PortfolioRunResult)> Done = std::move(S->Done);
-        Done(S->finalize());
-      }
-    });
+  Race R(P, Configs, Opts);
+  const size_t Jobs =
+      Opts.Jobs == 0 ? ThreadPool::defaultConcurrency() : Opts.Jobs;
+  if (Jobs == 1) {
+    // No threads: roster order, and a decided race starts nobody else, so
+    // identical inputs yield identical dumps.
+    for (size_t I = 0; I < Configs.size(); ++I)
+      R.runEntrant(I);
+  } else {
+    ThreadPool Pool(std::min(Jobs, Configs.size()));
+    for (size_t I = 0; I < Configs.size(); ++I)
+      Pool.submit([&R, I] { R.runEntrant(I); });
+    Pool.waitIdle();
   }
+  return R.finalize();
 }

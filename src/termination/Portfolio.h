@@ -8,22 +8,24 @@
 /// Section 7 of the paper shows that no single analyzer configuration
 /// dominates: different stage sequences and complement strategies win on
 /// different programs. The portfolio runner exploits exactly that:
-/// it races K configurations over the same program on a thread pool, the
-/// first conclusive verdict (TERMINATING or NONTERMINATING -- an Unknown
-/// entrant never decides the race) wins, and the
+/// it races K configurations over the same program, the first conclusive
+/// verdict (TERMINATING or NONTERMINATING -- an Unknown entrant never
+/// decides the race) wins, and the
 /// losers are torn down through a shared CancellationToken polled at every
 /// budget-hook site (refinement loop, difference DFS, NCSB splits), so a
 /// runaway subtraction in a losing configuration cannot delay the winner.
 ///
-/// Every worker analyzes its own copy of the program (the lasso prover
+/// Every entrant analyzes its own copy of the program (the lasso prover
 /// interns auxiliary variables into the program's VarTable, so sharing one
 /// instance would race); the winner's result is therefore bit-identical to
 /// what a plain sequential run of the winning configuration produces.
 ///
-/// With Jobs == 1 the runner degrades to a fully deterministic fallback:
-/// configurations run to completion one by one, in roster order, stopping
-/// at the first conclusive verdict. Statistics dumps of two such runs are
-/// byte-identical (the determinism guard in tests/portfolio_test.cpp).
+/// One routine runs every entrant: inline, in roster order, when
+/// Jobs == 1, and from a private thread pool when Jobs > 1. With Jobs == 1
+/// the race is fully deterministic: configurations run to completion one
+/// by one, stopping at the first conclusive verdict. Statistics dumps of
+/// two such runs are byte-identical (the determinism guard in
+/// tests/portfolio_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +33,6 @@
 #define TERMCHECK_TERMINATION_PORTFOLIO_H
 
 #include "termination/Analyzer.h"
-
-#include <functional>
-#include <memory>
 
 namespace termcheck {
 
@@ -78,12 +77,12 @@ struct PortfolioOptions {
   /// portfolio's own timeline events (entrant spawn/result/fault, race
   /// decided).
   Trace *Tracer = nullptr;
-  /// Optional external cancellation (non-owning). The Jobs == 1 sequential
-  /// fallback threads it into every entrant, so a deadline monitor or a
-  /// draining server can tear down a deterministic run mid-entrant
-  /// (parallel races are cancelled through PortfolioRace::cancel()
-  /// instead). Cancellation does not perturb determinism: two uncancelled
-  /// runs still dump byte-identical statistics.
+  /// Optional external cancellation (non-owning), honored at any Jobs:
+  /// once it is cancelled no further entrant starts, and running ones end
+  /// CANCELLED at their next budget poll. A deadline monitor or a draining
+  /// server tears a run down through it. Cancellation does not perturb
+  /// determinism: two uncancelled runs still dump byte-identical
+  /// statistics.
   const CancellationToken *Cancel = nullptr;
 };
 
@@ -115,16 +114,22 @@ struct PortfolioRunResult {
   /// The winning run, exactly as the winning configuration's sequential
   /// analyzer produced it. When no configuration is conclusive this holds
   /// the first Unknown result (counterexample included), or failing that
-  /// the roster-first result (a TIMEOUT).
+  /// the roster-first finished one (a TIMEOUT or CANCELLED). When no
+  /// entrant finished, the verdict is CANCELLED if Cancel was tripped and
+  /// UNKNOWN otherwise (every entrant faulted).
   AnalysisResult Result;
   /// Roster index and name of the winner (index == Configs.size() means
-  /// nobody was conclusive).
+  /// nobody was conclusive; the name is then empty, or
+  /// "<cancelled before any entrant ran>" / "<all entrants faulted>" when
+  /// no entrant finished).
   size_t WinnerIndex = 0;
   std::string WinnerName;
-  /// Entrants quarantined because their worker threw (EngineError or a
-  /// foreign exception). A faulted entrant never decides the race; its
-  /// failure is recorded under `cfg.<name>.fault.<kind>` in Merged. When
-  /// EVERY entrant faults the race reports Unknown, never a crash.
+  /// Entrants quarantined because their analysis threw (EngineError or a
+  /// foreign exception; a throw not derived from std::exception also
+  /// bumps `portfolio.worker_escapes`). A faulted entrant never decides the
+  /// race; its failure is recorded under `cfg.<name>.fault.<kind>` in
+  /// Merged. When EVERY entrant faults the race reports Unknown, never a
+  /// crash.
   size_t FaultedEntrants = 0;
   /// Merged statistics: portfolio-level counters plus every started
   /// configuration's counters namespaced as `cfg.<name>.<counter>`. Only
@@ -138,56 +143,12 @@ struct PortfolioRunResult {
   double Seconds = 0;
 };
 
-/// Races \p Configs over \p P. \p P itself is only read (each worker
-/// copies it), so the caller's program is untouched.
+/// Races \p Configs over \p P and returns once every entrant finished,
+/// faulted or was skipped. \p P itself is only read (each entrant copies
+/// it), so the caller's program is untouched.
 PortfolioRunResult runPortfolio(const Program &P,
                                 const std::vector<PortfolioConfig> &Configs,
                                 const PortfolioOptions &Opts = {});
-
-class ThreadPool;
-
-/// An event-driven portfolio race over an externally owned thread pool.
-///
-/// `runPortfolio` blocks its caller until the race is over, which is right
-/// for the CLI but wrong for a server multiplexing many programs over one
-/// shared pool: a job must not pin a pool worker just to wait for its own
-/// entrants. PortfolioRace is the non-blocking core both sit on -- start()
-/// submits one pool task per entrant and returns immediately; the
-/// completion callback fires exactly once, on whichever worker finishes
-/// last, after every entrant has finished, faulted, or been skipped by
-/// cancellation. `runPortfolio` (Jobs > 1) wraps it with a private pool
-/// and a condition-variable wait; `termcheckd`'s scheduler starts many
-/// races on one shared pool and finalizes each job in its callback
-/// (two-tier scheduling, DESIGN.md section 14).
-///
-/// Race state is shared-ownership: the entrant tasks and the callback keep
-/// it alive, so the PortfolioRace handle itself may be dropped as soon as
-/// start() returns. cancel() (a deadline monitor, a draining server)
-/// trips the same sticky token the winner uses to tear down losers, so an
-/// externally cancelled race still completes through the callback with
-/// every entrant accounted for.
-class PortfolioRace {
-public:
-  /// Copies \p P once; each entrant copies again from that master copy
-  /// (the lasso prover interns variables into the program's VarTable, so
-  /// entrants must never share an instance).
-  PortfolioRace(const Program &P, std::vector<PortfolioConfig> Configs,
-                const PortfolioOptions &Opts);
-
-  /// Submits every entrant to \p Pool and returns. \p Done runs exactly
-  /// once, on a pool worker (or synchronously here when the roster is
-  /// empty). start() may be called at most once per race.
-  void start(ThreadPool &Pool, std::function<void(PortfolioRunResult)> Done);
-
-  /// Externally cancels the race: queued entrants never start, running
-  /// ones notice at their next budget poll and finish with CANCELLED. The
-  /// completion callback still fires after the last one drains.
-  void cancel();
-
-private:
-  struct State;
-  std::shared_ptr<State> St;
-};
 
 } // namespace termcheck
 

@@ -260,7 +260,7 @@ TEST(Chaos, SameSeedReproducesTheSameOutcome) {
   }
 }
 
-TEST(Chaos, PortfolioRacesSurviveFaultsAndNeverHang) {
+TEST(Chaos, ThreadedPortfolioSurvivesFaultsAndNeverHangs) {
   // The threaded half of the contract: under injected faults the pool's
   // waitIdle must still return (RAII decrement), faulted entrants are
   // quarantined, and a conclusive race never flips the verdict. The test
@@ -398,7 +398,6 @@ TEST(Chaos, ProverOverflowDegradesStageNotVerdict) {
 server::JobOutcome sandboxedRun(const CorpusEntry &E, uint64_t Seed,
                                 bool DisableQuarantine) {
   server::SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.Isolation = server::IsolationMode::Sandbox;
   // The backoff only slows the suite down here.
   Cfg.SandboxCfg.RetryBackoffSeconds = 0.001;

@@ -13,7 +13,9 @@
 ///  * the winner's certified modules pass the independent Definition 3.1
 ///    checker (cancellation must never leak a truncated module), and
 ///  * with Jobs == 1 the runner is a deterministic sequential fallback:
-///    two runs produce byte-identical statistics dumps.
+///    two runs produce byte-identical statistics dumps, and
+///  * an external cancel stops the race the same way at Jobs 1 and 3:
+///    no entrant starts once it is set, and running ones end CANCELLED.
 ///
 /// This test is also the designated TSan workload: with Jobs > 1 it
 /// exercises the thread pool, the shared cancellation token, and the
@@ -23,10 +25,13 @@
 
 #include "termination/Portfolio.h"
 
+#include "benchgen/ProgramFamilies.h"
 #include "program/Parser.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -284,4 +289,77 @@ TEST(Portfolio, CancellationPreemptsARunningAnalysis) {
   AnalysisResult Res = TerminationAnalyzer(Copy, O).run();
   EXPECT_EQ(Res.V, Verdict::Cancelled);
   EXPECT_FALSE(isConclusive(Res.V));
+}
+
+TEST(Portfolio, PreCancelledRunStartsNoEntrant) {
+  ParseResult R = parseProgram(
+      "program p(i) { while (i > 0) { i := i - 1; } }\n");
+  ASSERT_TRUE(R.ok());
+  std::vector<PortfolioConfig> Configs = defaultPortfolio(PortfolioRosterSize);
+  CancellationToken Token;
+  Token.cancel();
+  for (size_t Jobs : {size_t(1), size_t(3)}) {
+    PortfolioOptions PO;
+    PO.Jobs = Jobs;
+    PO.TimeoutSeconds = 30;
+    PO.Cancel = &Token;
+    PortfolioRunResult Out = runPortfolio(*R.Prog, Configs, PO);
+    EXPECT_EQ(Out.Result.V, Verdict::Cancelled) << "jobs " << Jobs;
+    EXPECT_EQ(Out.WinnerIndex, Configs.size()) << "jobs " << Jobs;
+    EXPECT_EQ(Out.WinnerName, "<cancelled before any entrant ran>")
+        << "jobs " << Jobs;
+    ASSERT_EQ(Out.Entrants.size(), Configs.size());
+    for (const EntrantTimeline &TL : Out.Entrants)
+      EXPECT_FALSE(TL.Started) << TL.Name << " at jobs " << Jobs;
+  }
+}
+
+namespace {
+
+/// Cancels a token at the first stage_attempt any entrant emits.
+class CancelAtFirstStageAttempt : public TraceSink {
+public:
+  explicit CancelAtFirstStageAttempt(CancellationToken &Token)
+      : Token(Token) {}
+
+  void consume(const TraceEvent &E) override {
+    if (E.Kind == TraceEventKind::StageAttempt)
+      Token.cancel();
+  }
+
+private:
+  CancellationToken &Token;
+};
+
+} // namespace
+
+TEST(Portfolio, CancelDuringTheRaceReachesRunningEntrants) {
+  // No entrant decides gcd_like within the budget, so only the cancel,
+  // raised while an entrant generalizes its first lasso, can end the race
+  // early -- and it must, at both Jobs values.
+  const std::vector<BenchProgram> Suite = benchmarkSuite();
+  auto Gcd = std::find_if(Suite.begin(), Suite.end(),
+                          [](const BenchProgram &B) {
+                            return B.Name == "gcd_like";
+                          });
+  ASSERT_NE(Gcd, Suite.end());
+  ParseResult R = parseProgram(Gcd->Source);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  std::vector<PortfolioConfig> Configs = defaultPortfolio(PortfolioRosterSize);
+  for (size_t Jobs : {size_t(1), size_t(3)}) {
+    CancellationToken Token;
+    CancelAtFirstStageAttempt Sink(Token);
+    Trace TR(Sink);
+    PortfolioOptions PO;
+    PO.Jobs = Jobs;
+    PO.TimeoutSeconds = 10;
+    PO.Cancel = &Token;
+    PO.Tracer = &TR;
+    PortfolioRunResult Out = runPortfolio(*R.Prog, Configs, PO);
+    ASSERT_TRUE(Token.cancelled()) << "no stage attempt at jobs " << Jobs;
+    EXPECT_EQ(Out.Result.V, Verdict::Cancelled) << "jobs " << Jobs;
+    EXPECT_EQ(Out.WinnerIndex, Configs.size()) << "jobs " << Jobs;
+    for (const EntrantTimeline &TL : Out.Entrants)
+      EXPECT_FALSE(TL.Won) << TL.Name << " at jobs " << Jobs;
+  }
 }

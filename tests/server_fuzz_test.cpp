@@ -55,7 +55,7 @@ struct Rng {
 
 const std::vector<std::string> &seedLines() {
   static const std::vector<std::string> Seeds = {
-      R"({"op":"submit","id":"f1","program":"program p(i) { while (i > 0) { i := i - 1; } }","options":{"timeout_s":5,"jobs":1}})",
+      R"({"op":"submit","id":"f1","program":"program p(i) { while (i > 0) { i := i - 1; } }","options":{"timeout_s":5}})",
       R"({"op":"submit","id":"f2","program":"program q(i) { skip; }","source":"fuzz.while","options":{"deterministic":true,"portfolio":2,"max_states":1000}})",
       R"({"op":"submit","id":"f3","program":"program r(i) { while (i > 0) { i := i - 1; } }","options":{"test_fault":"segv","no_nonterm":true}})",
       R"({"op":"stats"})",
@@ -148,7 +148,6 @@ TEST(ServerFuzz, ParserNeverCrashesOnMutatedLines) {
 
 TEST(ServerFuzz, SessionAnswersEveryMutatedLineOrStopsOnDrain) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.MaxActiveJobs = 2;
   Cfg.QueueCapacity = 8;
   Scheduler S(Cfg);

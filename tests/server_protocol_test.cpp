@@ -9,7 +9,8 @@
 /// driven directly -- no sockets, no processes -- against a real
 /// Scheduler: malformed lines, oversized programs, duplicate ids,
 /// queue_full backpressure, deadline-exceeded teardown, cancel acks, and
-/// the drain handshake.
+/// the drain handshake. Plus one socket case: a Unix listener with an open
+/// connection stopped from two threads at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +19,18 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace termcheck;
 using namespace termcheck::server;
@@ -66,7 +76,7 @@ constexpr const char *FastProgram =
     "program fast(i) { while (i > 0) { i := i - 1; } }";
 /// With the recurrence prover off this diverges-from-odd-inputs loop
 /// refines until its budget runs out (the benchmarks/parity_trap.while
-/// shape) -- a reliable tier-1 slot-holder for backpressure tests.
+/// shape) -- a reliable active-slot holder for backpressure tests.
 constexpr const char *SlowProgram =
     "program slow(i) { while (i != 0) { i := i - 2; } }";
 
@@ -78,8 +88,7 @@ TEST(ParseRequest, SubmitCarriesAllOptions) {
   Request R = parseRequest(
       "{\"op\":\"submit\",\"id\":\"a\",\"program\":\"p\",\"source\":\"x.while"
       "\",\"options\":{\"timeout_s\":5,\"deadline_s\":9,\"portfolio\":4,"
-      "\"jobs\":3,\"deterministic\":true,\"no_nonterm\":true,"
-      "\"max_states\":1000}}");
+      "\"deterministic\":true,\"no_nonterm\":true,\"max_states\":1000}}");
   EXPECT_EQ(R.O, Request::Op::Submit);
   EXPECT_EQ(R.Id, "a");
   EXPECT_EQ(R.Program, "p");
@@ -87,7 +96,6 @@ TEST(ParseRequest, SubmitCarriesAllOptions) {
   EXPECT_DOUBLE_EQ(R.Opts.TimeoutSeconds, 5);
   EXPECT_DOUBLE_EQ(R.Opts.DeadlineSeconds, 9);
   EXPECT_EQ(R.Opts.PortfolioK, 4u);
-  EXPECT_EQ(R.Opts.EntrantJobs, 3u);
   EXPECT_TRUE(R.Opts.Deterministic);
   EXPECT_TRUE(R.Opts.NoNonterm);
   EXPECT_EQ(R.Opts.MaxStates, 1000u);
@@ -136,7 +144,6 @@ TEST(ParseRequest, CapsThrowResourceExhausted) {
 
 SchedulerConfig smallConfig() {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.MaxActiveJobs = 1;
   Cfg.QueueCapacity = 2;
   return Cfg;
@@ -174,13 +181,19 @@ TEST(HandleRequestLine, OversizedProgramRejectedWithItsId) {
 TEST(HandleRequestLine, DuplicateIdRejectedWhileFirstInFlight) {
   Scheduler S(smallConfig());
   CaptureSink Sink;
+  // The first job holds its id until it is cancelled: a sub-millisecond
+  // one could finish before the second line arrives.
+  handleRequestLine(S, {},
+                    submitLine("dup", SlowProgram, "\"no_nonterm\":true"),
+                    Sink.sink());
   handleRequestLine(S, {}, submitLine("dup", FastProgram), Sink.sink());
-  handleRequestLine(S, {}, submitLine("dup", FastProgram), Sink.sink());
-  S.awaitIdle();
   EXPECT_EQ(Sink.with("type", "accepted").size(), 1u);
   auto Rejects = Sink.with("reason", "duplicate_id");
   ASSERT_EQ(Rejects.size(), 1u);
   EXPECT_NE(Rejects[0].find("\"id\":\"dup\""), std::string::npos);
+  handleRequestLine(S, {}, "{\"op\":\"cancel\",\"id\":\"dup\"}",
+                    Sink.sink());
+  S.awaitIdle();
   // The id is free again after completion.
   handleRequestLine(S, {}, submitLine("dup", FastProgram), Sink.sink());
   S.awaitIdle();
@@ -226,6 +239,25 @@ TEST(HandleRequestLine, DeadlineExceededWhileQueued) {
   S.awaitIdle();
 }
 
+TEST(HandleRequestLine, JobsOptionIsRejected) {
+  // A portfolio job runs its entrants in roster order; there is no
+  // per-job entrant parallelism to ask for, so `jobs` is an unknown
+  // option like any other.
+  Scheduler S(smallConfig());
+  CaptureSink Sink;
+  handleRequestLine(S, {},
+                    submitLine("j3", FastProgram, "\"portfolio\":3,\"jobs\":3"),
+                    Sink.sink());
+  S.awaitIdle();
+  EXPECT_TRUE(Sink.with("type", "accepted").empty());
+  auto Rejects = Sink.with("reason", "malformed_request");
+  ASSERT_EQ(Rejects.size(), 1u);
+  EXPECT_NE(Rejects[0].find("\"id\":\"j3\""), std::string::npos);
+  EXPECT_NE(Rejects[0].find("unknown option 'jobs'"), std::string::npos)
+      << Rejects[0];
+  EXPECT_EQ(S.stats().Accepted, 0u);
+}
+
 TEST(HandleRequestLine, ParseErrorIsAResultNotARejection) {
   Scheduler S(smallConfig());
   CaptureSink Sink;
@@ -260,6 +292,67 @@ TEST(HandleRequestLine, StatsCancelAndDrain) {
   handleRequestLine(S, {}, submitLine("post", FastProgram), Sink.sink());
   EXPECT_EQ(Sink.with("reason", "draining").size(), 1u);
   S.awaitIdle();
+}
+
+//===----------------------------------------------------------------------===//
+// Listeners
+//===----------------------------------------------------------------------===//
+
+TEST(ServerListeners, ConcurrentStopsRunTheStopOnce) {
+  // A signal drain of a socket-only termcheckd stops the listeners from
+  // the drain helper and from the main thread at once. Both calls must
+  // return, the open connection must be shut and the socket file removed;
+  // under TSan the two must not race on the fds or the thread vectors.
+  // The two stops overlap only in some rounds, so the test runs several.
+  std::string Dir = testing::TempDir() + "tc_listeners_XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir.data()), nullptr);
+  for (int Round = 0; Round < 20; ++Round) {
+    SCOPED_TRACE("round " + std::to_string(Round));
+    ServerOptions O;
+    O.Sched = smallConfig();
+    O.UnixSocketPath = Dir + "/d.sock";
+    Server Srv(O);
+    std::string Error;
+    ASSERT_TRUE(Srv.startListeners(&Error)) << Error;
+
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(Fd, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::strncpy(Addr.sun_path, O.UnixSocketPath.c_str(),
+                 sizeof(Addr.sun_path) - 1);
+    ASSERT_EQ(
+        ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+    // One round trip, so the connection is accepted and served before the
+    // stop begins.
+    const std::string Probe = "{\"op\":\"health\"}\n";
+    ASSERT_EQ(::send(Fd, Probe.data(), Probe.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(Probe.size()));
+    std::string Reply;
+    char C;
+    while (::recv(Fd, &C, 1, 0) == 1 && C != '\n')
+      Reply.push_back(C);
+    EXPECT_NE(Reply.find("\"type\":\"health\""), std::string::npos)
+        << Reply;
+
+    std::atomic<bool> Go{false};
+    auto Stop = [&] {
+      while (!Go.load())
+        std::this_thread::yield();
+      Srv.stopListeners();
+    };
+    std::thread First(Stop), Second(Stop);
+    Go = true;
+    First.join();
+    Second.join();
+
+    EXPECT_EQ(::recv(Fd, &C, 1, 0), 0) << "the connection was not shut";
+    ::close(Fd);
+    struct stat St;
+    EXPECT_NE(::stat(O.UnixSocketPath.c_str(), &St), 0)
+        << "socket file left behind";
+  }
+  ::rmdir(Dir.c_str());
 }
 
 } // namespace

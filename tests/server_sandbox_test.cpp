@@ -87,7 +87,6 @@ struct Outcomes {
 
 SchedulerConfig sandboxConfig() {
   SchedulerConfig Cfg;
-  Cfg.Workers = 4;
   Cfg.MaxActiveJobs = 4;
   Cfg.Isolation = IsolationMode::Sandbox;
   return Cfg;
@@ -287,7 +286,6 @@ TEST(SandboxConcurrency, HealthyVerdictsMatchInProcessRuns) {
   std::map<std::string, Verdict> Reference;
   {
     SchedulerConfig Cfg;
-    Cfg.Workers = 2;
     Scheduler S(Cfg);
     Outcomes Got;
     for (size_t I = 0; I < Sources.size(); ++I) {
@@ -338,7 +336,6 @@ JobSpec deterministicJob(const std::string &Id, const std::string &Source) {
   S.ProgramText = Source;
   S.Opts.TimeoutSeconds = 30;
   S.Opts.PortfolioK = PortfolioRosterSize;
-  S.Opts.EntrantJobs = 1;
   S.Opts.Deterministic = true;
   return S;
 }
@@ -375,7 +372,6 @@ TEST(SandboxDeterminism, ReportsAreByteIdenticalInBothIsolationModes) {
   for (IsolationMode Mode :
        {IsolationMode::InProcess, IsolationMode::Sandbox}) {
     SchedulerConfig Cfg;
-    Cfg.Workers = 2;
     Cfg.Isolation = Mode;
     Scheduler S(Cfg);
     Outcomes Got;
@@ -395,7 +391,6 @@ TEST(SandboxDeterminism, ReportsAreByteIdenticalInBothIsolationModes) {
 TEST(SandboxDeterminism, AutoModeKeepsDeterministicJobsInProcess) {
   REQUIRE_SANDBOX();
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.Isolation = IsolationMode::Auto;
   Scheduler S(Cfg);
   Outcomes Got;

@@ -1,4 +1,4 @@
-//===- tests/server_scheduler_test.cpp - Two-tier scheduler gate ----------===//
+//===- tests/server_scheduler_test.cpp - Job scheduler gate ---------------===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
@@ -38,7 +38,7 @@ constexpr const char *FastProgram =
     "program fast(i) { while (i > 0) { i := i - 1; } }";
 /// With the recurrence prover off this diverges-from-odd-inputs loop
 /// (the benchmarks/parity_trap.while shape) refines until the budget or a
-/// cancellation poll stops it. Holds a tier-1 slot reliably.
+/// cancellation poll stops it. Holds an active slot reliably.
 constexpr const char *SlowSource =
     "program slow(i) { while (i != 0) { i := i - 2; } }";
 
@@ -83,7 +83,6 @@ struct Outcomes {
 
 TEST(SchedulerAdmission, QueueFullAtTheBound) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.MaxActiveJobs = 1;
   Cfg.QueueCapacity = 1;
   Scheduler S(Cfg);
@@ -107,7 +106,6 @@ TEST(SchedulerAdmission, QueueFullAtTheBound) {
 
 TEST(SchedulerAdmission, DuplicateIdThenReuseAfterCompletion) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Scheduler S(Cfg);
   Outcomes Got;
   EXPECT_EQ(S.submit(fastJob("a"), Got.fn()), Scheduler::Admission::Accepted);
@@ -122,7 +120,6 @@ TEST(SchedulerAdmission, DuplicateIdThenReuseAfterCompletion) {
 
 TEST(SchedulerDrain, GracefulCompletesEverythingAccepted) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 4;
   Cfg.MaxActiveJobs = 2;
   Scheduler S(Cfg);
   Outcomes Got;
@@ -143,7 +140,6 @@ TEST(SchedulerDrain, GracefulCompletesEverythingAccepted) {
 
 TEST(SchedulerDrain, HardCancelsQueuedAndUnwindsRunning) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.MaxActiveJobs = 1;
   Cfg.QueueCapacity = 8;
   Scheduler S(Cfg);
@@ -164,7 +160,6 @@ TEST(SchedulerDrain, HardCancelsQueuedAndUnwindsRunning) {
 
 TEST(SchedulerCancel, QueuedAndActiveAndUnknown) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Cfg.MaxActiveJobs = 1;
   Scheduler S(Cfg);
   Outcomes Got;
@@ -191,7 +186,6 @@ JobSpec deterministicJob(const std::string &Id, const std::string &Source) {
   S.ProgramText = Source;
   S.Opts.TimeoutSeconds = 30;
   S.Opts.PortfolioK = PortfolioRosterSize;
-  S.Opts.EntrantJobs = 1; // sequential fallback
   S.Opts.Deterministic = true;
   return S;
 }
@@ -235,7 +229,6 @@ std::string outcomeReport(Outcomes &Got, const std::string &Id) {
 
 TEST(SchedulerDeterminism, ReportMatchesInProcessCliPath) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Scheduler S(Cfg);
   Outcomes Got;
   ASSERT_EQ(S.submit(deterministicJob("det", FastProgram), Got.fn()),
@@ -260,11 +253,10 @@ TEST(SchedulerDeterminism, ConcurrentLoadDoesNotPerturbReports) {
       "{ i := i - 2; } } }",
   };
 
-  // Reference pass: single-file scheduler, one job at a time.
+  // Reference pass: one job at a time.
   std::map<std::string, std::string> Reference;
   {
     SchedulerConfig Cfg;
-    Cfg.Workers = 1;
     Cfg.MaxActiveJobs = 1;
     Scheduler S(Cfg);
     for (size_t I = 0; I < Sources.size(); ++I) {
@@ -282,7 +274,6 @@ TEST(SchedulerDeterminism, ConcurrentLoadDoesNotPerturbReports) {
   // with distinct interleavings.
   for (int Round = 0; Round < 3; ++Round) {
     SchedulerConfig Cfg;
-    Cfg.Workers = 4;
     Cfg.MaxActiveJobs = 4;
     Scheduler S(Cfg);
     Outcomes Got;
@@ -302,7 +293,6 @@ TEST(SchedulerDeterminism, ConcurrentLoadDoesNotPerturbReports) {
 
 TEST(SchedulerStatsTest, CountersAddUp) {
   SchedulerConfig Cfg;
-  Cfg.Workers = 2;
   Scheduler S(Cfg);
   Outcomes Got;
   S.submit(fastJob("t1"), Got.fn());
@@ -318,7 +308,8 @@ TEST(SchedulerStatsTest, CountersAddUp) {
   EXPECT_EQ(St.ParseErrors, 1u);
   EXPECT_EQ(St.QueueDepth, 0u);
   EXPECT_EQ(St.ActiveJobs, 0u);
-  EXPECT_GE(St.Workers, 2u);
+  // The pool has one thread per core.
+  EXPECT_EQ(St.Workers, ThreadPool::defaultConcurrency());
   // The stats line carries the schema stamp.
   std::string Line = statsLine(St);
   EXPECT_NE(Line.find("\"schema\":\"termcheckd-protocol\""),

@@ -25,11 +25,14 @@
 #     FAILED_worker_* pseudo-verdicts, each named by a `failed` line on
 #     stderr even under --quiet, every other verdict is unchanged, and the
 #     daemon survives to drain cleanly;
-#  8. --module-cache is a usage error (exit 4) for termcheckd and
-#     termcheck-batch;
+#  8. removed flags are usage errors (exit 4, unknown option):
+#     --module-cache for termcheckd and termcheck-batch, --workers for
+#     both, and termcheck-batch --jobs;
 #  9. a one-job sandboxed daemon run writes worker_spawn and worker_exit
 #     to its --trace file, and exits 1 naming --trace when the trace
-#     cannot be written (/dev/full; skipped where it is not writable).
+#     cannot be written (/dev/full; skipped where it is not writable);
+# 10. a socket-only daemon answers one --health probe, then SIGTERM
+#     drains it: it exits 0 and its socket file is gone.
 #
 # --isolation MODE (inprocess|sandbox|auto) is forwarded to every daemon
 # phases 2-6 start; phases 7 and 9 always force sandbox.
@@ -203,25 +206,33 @@ while IFS= read -r LINE; do
   }
 done < "$DIR/crash.ok.txt"
 
-echo "== 8. --module-cache is an unknown option to the daemon and the client"
-# The cross-run module cache was deleted; its flag must fail loudly as a
-# usage error instead of being accepted or silently ignored.
+echo "== 8. removed flags are unknown options to the daemon and the client"
+# Deleted flags must fail loudly as usage errors instead of being accepted
+# or silently ignored: --module-cache (the cross-run module cache),
+# --workers (the daemon's pool has one thread per core) and the client's
+# --jobs (a daemon portfolio job runs its entrants in roster order).
+# expect_unknown_option FLAG COMMAND...
 expect_unknown_option() {
+  FLAG=$1
+  shift
   ERR=$("$@" < /dev/null 2>&1 >/dev/null)
   RC=$?
   if [ "$RC" != 4 ]; then
-    echo "FAIL $1 --module-cache: exit $RC, expected 4" >&2
+    echo "FAIL $1 $FLAG: exit $RC, expected 4" >&2
     exit 1
   fi
   case "$ERR" in
-    *"unknown option '--module-cache'"*) ;;
-    *) echo "FAIL $1 --module-cache: no unknown-option diagnostic: $ERR" >&2
+    *"unknown option '$FLAG'"*) ;;
+    *) echo "FAIL $1 $FLAG: no unknown-option diagnostic: $ERR" >&2
        exit 1 ;;
   esac
 }
-expect_unknown_option "$DAEMON" --module-cache "$DIR/modcache"
-expect_unknown_option "$BATCH" --spawn "$DAEMON" \
+expect_unknown_option --module-cache "$DAEMON" --module-cache "$DIR/modcache"
+expect_unknown_option --module-cache "$BATCH" --spawn "$DAEMON" \
   --module-cache "$DIR/modcache" --health
+expect_unknown_option --workers "$DAEMON" --workers 2
+expect_unknown_option --workers "$BATCH" --spawn "$DAEMON" --workers 2 --health
+expect_unknown_option --jobs "$BATCH" --spawn "$DAEMON" --jobs 2 --health
 
 echo "== 9. termcheckd --trace: a trace that cannot be written is an error"
 # One sandboxed job writes worker_spawn and worker_exit events; into a
@@ -252,7 +263,43 @@ if [ -w /dev/full ]; then
   TRACE_FULL="reported"
 fi
 
+echo "== 10. SIGTERM drains a socket-only daemon"
+# The signal's drain helper and the main thread, whose stdin is at EOF,
+# both stop the listeners; the stop must run once, so the daemon exits 0
+# (under TSan with halt_on_error=1, a race there changes the exit code)
+# and removes its socket file.
+SOCK="$DIR/sig.sock"
+"$DAEMON" --unix-socket "$SOCK" < /dev/null > "$DIR/sig.out" \
+  2> "$DIR/sig.err" &
+DAEMON_PID=$!
+SOCK_OK=0
+for _ in $(seq 1 100); do
+  [ -S "$SOCK" ] && { SOCK_OK=1; break; }
+  kill -0 "$DAEMON_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if [ "$SOCK_OK" != 1 ]; then
+  echo "FAIL daemon never bound $SOCK" >&2
+  cat "$DIR/sig.err" >&2
+  exit 1
+fi
+"$BATCH" --connect "unix:$SOCK" --health > /dev/null \
+  || { echo "FAIL health probe of the socket-only daemon" >&2; exit 1; }
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID"
+RC=$?
+DAEMON_PID=""
+if [ "$RC" != 0 ]; then
+  echo "FAIL SIGTERM-drained socket-only daemon exited $RC, expected 0" >&2
+  cat "$DIR/sig.err" >&2
+  exit 1
+fi
+if [ -e "$SOCK" ]; then
+  echo "FAIL SIGTERM-drained daemon left its socket file behind" >&2
+  exit 1
+fi
+
 echo "server e2e: $COUNT programs, batch == per-process == socket == oracle;" \
-     "$INJECTED injected crashes contained; --module-cache rejected;" \
-     "trace write failure $TRACE_FULL"
+     "$INJECTED injected crashes contained; removed flags rejected;" \
+     "trace write failure $TRACE_FULL; signal drain clean"
 exit 0

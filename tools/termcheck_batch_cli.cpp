@@ -19,10 +19,12 @@
 ///     --expect <file>       compare against an expectations file; any
 ///                           mismatch, missing oracle, or stale oracle
 ///                           entry makes the exit code 1
-///     --timeout <s> --deadline <s> --portfolio <K> --jobs <N>
+///     --timeout <s> --deadline <s> --portfolio <K>
 ///     --deterministic --no-nonterm --max-states <N>
 ///                           per-job analysis options, forwarded verbatim
-///     --workers <N> --max-active <N> --queue-cap <N> --isolation <mode>
+///                           (a portfolio job runs its entrants in roster
+///                           order, as `termcheck --jobs 1` does)
+///     --max-active <N> --queue-cap <N> --isolation <mode>
 ///                           forwarded to a --spawn'ed daemon
 ///     --health              probe mode: send {"op":"health"}, print the
 ///                           daemon's health line, and exit (no corpus)
@@ -86,12 +88,10 @@ void usage(const char *Prog) {
       "  --timeout <s>          per-job analysis budget\n"
       "  --deadline <s>         per-job admission-to-completion deadline\n"
       "  --portfolio <K>        race the first K configurations\n"
-      "  --jobs <N>             per-job entrant parallelism (1 = "
-      "deterministic)\n"
       "  --deterministic        byte-reproducible reports\n"
       "  --no-nonterm           disable the nontermination prover\n"
       "  --max-states <N>       per-subtraction live-state cap\n"
-      "  --workers/--max-active/--queue-cap/--isolation\n"
+      "  --max-active/--queue-cap/--isolation\n"
       "                         forwarded to --spawn\n"
       "  --health               print the daemon's health line and exit\n"
       "  --inject-crash <N>     crash the worker of every Nth job (test "
@@ -301,7 +301,6 @@ std::string submitLine(const std::string &Id, const ProgramFile &P,
       W.field("deadline_s", O.DeadlineSeconds);
     if (O.PortfolioK != 0)
       W.field("portfolio", static_cast<int64_t>(O.PortfolioK));
-    W.field("jobs", static_cast<int64_t>(O.EntrantJobs));
     if (O.Deterministic)
       W.field("deterministic", true);
     if (O.NoNonterm)
@@ -437,11 +436,7 @@ int main(int Argc, char **Argv) {
       JO.PortfolioK = static_cast<size_t>(
           parseCount("--portfolio", NeedsValue("--portfolio"), 1,
                      static_cast<long>(PortfolioRosterSize), Range.c_str()));
-    } else if (std::strcmp(Arg, "--jobs") == 0)
-      JO.EntrantJobs = static_cast<size_t>(
-          parseCount("--jobs", NeedsValue("--jobs"), 1, 4096,
-                     "a positive worker count"));
-    else if (std::strcmp(Arg, "--deterministic") == 0)
+    } else if (std::strcmp(Arg, "--deterministic") == 0)
       JO.Deterministic = true;
     else if (std::strcmp(Arg, "--no-nonterm") == 0)
       JO.NoNonterm = true;
@@ -449,10 +444,7 @@ int main(int Argc, char **Argv) {
       JO.MaxStates = static_cast<uint64_t>(
           parseCount("--max-states", NeedsValue("--max-states"), 0,
                      LONG_MAX, "a state count >= 0"));
-    else if (std::strcmp(Arg, "--workers") == 0) {
-      DaemonArgs.push_back("--workers");
-      DaemonArgs.push_back(NeedsValue("--workers"));
-    } else if (std::strcmp(Arg, "--max-active") == 0) {
+    else if (std::strcmp(Arg, "--max-active") == 0) {
       DaemonArgs.push_back("--max-active");
       DaemonArgs.push_back(NeedsValue("--max-active"));
     } else if (std::strcmp(Arg, "--queue-cap") == 0) {

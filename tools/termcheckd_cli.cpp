@@ -7,12 +7,12 @@
 /// `termcheckd`: the long-running batch analysis server. Speaks the
 /// newline-delimited JSON protocol of server/Protocol.h on stdin/stdout,
 /// and optionally on a Unix-domain socket and/or a loopback TCP port, all
-/// feeding ONE two-tier scheduler (server/Scheduler.h) so admission
-/// control is global.
+/// feeding ONE scheduler (server/Scheduler.h) so admission control is
+/// global. Its pool has one thread per core, and each running job holds
+/// one pool thread.
 ///
 ///   termcheckd [options]
-///     --workers <N>        shared pool threads (default: all cores)
-///     --max-active <N>     concurrent jobs, tier-1 (default 4)
+///     --max-active <N>     concurrent jobs (default 4)
 ///     --queue-cap <N>      admission queue bound (default 64);
 ///                          submissions beyond it are rejected with
 ///                          reason "queue_full"
@@ -69,8 +69,6 @@ namespace {
 void usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [options]\n"
-               "  --workers <N>         shared pool threads (default: all "
-               "cores)\n"
                "  --max-active <N>      concurrent jobs (default 4)\n"
                "  --queue-cap <N>       admission queue bound (default 64)\n"
                "  --max-timeout <s>     per-job budget clamp (default 300)\n"
@@ -130,11 +128,7 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
-    if (std::strcmp(Arg, "--workers") == 0)
-      Opts.Sched.Workers = static_cast<size_t>(
-          parseCount("--workers", NeedsValue("--workers"), 1, 4096,
-                     "a worker count in [1, 4096]"));
-    else if (std::strcmp(Arg, "--max-active") == 0)
+    if (std::strcmp(Arg, "--max-active") == 0)
       Opts.Sched.MaxActiveJobs = static_cast<size_t>(
           parseCount("--max-active", NeedsValue("--max-active"), 1, 1 << 20,
                      "a positive job count"));
