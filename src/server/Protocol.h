@@ -45,8 +45,8 @@
 namespace termcheck {
 namespace server {
 
-/// Protocol document stamp (the stats heartbeat and the result lines carry
-/// it, so stream consumers can version-check like report consumers do).
+/// Protocol document stamp (the stats and result lines carry it, so
+/// stream consumers can version-check like report consumers do).
 inline constexpr const char *ProtocolSchemaName = "termcheckd-protocol";
 inline constexpr int ProtocolSchemaVersion = 1;
 

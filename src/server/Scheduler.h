@@ -59,7 +59,7 @@ struct SchedulerConfig {
   double MaxTimeoutSeconds = 300;
   /// Default per-job ResourceGuard state cap when the job does not set
   /// max_states (0 = no guard). Bounds the memory one job can take from
-  /// the fleet (states * ResourceGuard::ApproxBytesPerState).
+  /// the fleet.
   uint64_t DefaultMaxStatesPerJob = 4u << 20;
   /// How admitted jobs execute. InProcess is the library default (no
   /// behavior change for embedders and benches); the termcheckd CLI
@@ -175,7 +175,7 @@ std::string outcomeReportCompact(const JobOutcome &O);
 /// object ({"attempts":N,"signal":S,"quarantined":B}).
 std::string resultLine(const JobOutcome &O);
 
-/// Monotone counters and gauges for the stats heartbeat.
+/// Monotone counters and gauges for the `{"op":"stats"}` reply.
 struct SchedulerStats {
   uint64_t Accepted = 0;
   uint64_t Completed = 0;

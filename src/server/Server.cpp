@@ -17,8 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -208,8 +206,6 @@ bool boundedGetline(std::istream &In, std::string &Line, size_t Cap,
 
 struct Server::Listeners {
   int UnixFd = -1;
-  int TcpFd = -1;
-  uint16_t TcpPort = 0;
   std::string UnixPath;
 
   /// stopListeners runs its body once; a concurrent second caller waits
@@ -225,7 +221,7 @@ struct Server::Listeners {
   bool DrainRequested = false;
   std::condition_variable DrainCv;
   std::vector<std::shared_ptr<Conn>> Conns;
-  std::vector<std::thread> AcceptThreads;
+  std::thread AcceptThread;
   std::vector<std::thread> ConnThreads;
 };
 
@@ -233,8 +229,6 @@ Server::Server(const ServerOptions &O)
     : Opts(O), Sched(O.Sched), L(std::make_unique<Listeners>()) {}
 
 Server::~Server() { stopListeners(); }
-
-uint16_t Server::boundTcpPort() const { return L->TcpPort; }
 
 void Server::noteDrainRequested() {
   {
@@ -253,22 +247,6 @@ void Server::drain(bool Hard) {
 int Server::serveStdio(std::istream &In, std::ostream &Out) {
   auto Sink = std::make_shared<StreamSink>(Out);
   LineSink Write = [Sink](const std::string &Ln) { Sink->write(Ln); };
-
-  // The unsolicited stats heartbeat: fleet visibility for whoever tails
-  // the stream, without clients having to poll `{"op":"stats"}`.
-  std::thread Heartbeat;
-  std::mutex HbM;
-  std::condition_variable HbCv;
-  bool HbStop = false;
-  if (Opts.HeartbeatSeconds > 0) {
-    Heartbeat = std::thread([&] {
-      std::unique_lock<std::mutex> Lock(HbM);
-      while (!HbCv.wait_for(
-          Lock, std::chrono::duration<double>(Opts.HeartbeatSeconds),
-          [&] { return HbStop; }))
-        Write(statsLine(Sched.stats()));
-    });
-  }
 
   std::string Line;
   bool InBandDrain = false;
@@ -289,7 +267,7 @@ int Server::serveStdio(std::istream &In, std::ostream &Out) {
     noteDrainRequested();
 
   // A socket-only deployment redirects stdin from /dev/null; EOF there
-  // must not take the listeners down. Park until a drain is actually
+  // must not take the listener down. Park until a drain is actually
   // requested (in-band on a connection, or drain() from the signal path).
   {
     std::unique_lock<std::mutex> Lock(L->M);
@@ -301,14 +279,6 @@ int Server::serveStdio(std::istream &In, std::ostream &Out) {
   // only then say so -- awaitIdle() orders `drained` after every result.
   Sched.beginDrain(/*Hard=*/false);
   Sched.awaitIdle();
-  if (Heartbeat.joinable()) {
-    {
-      std::lock_guard<std::mutex> Lock(HbM);
-      HbStop = true;
-    }
-    HbCv.notify_all();
-    Heartbeat.join();
-  }
   Write(drainedLine());
   return 0;
 }
@@ -318,7 +288,6 @@ bool Server::startListeners(std::string *Error) {
     if (Error)
       *Error = Msg + ": " + std::strerror(errno);
     closeIfOpen(L->UnixFd);
-    closeIfOpen(L->TcpFd);
     return false;
   };
 
@@ -342,33 +311,7 @@ bool Server::startListeners(std::string *Error) {
     if (::listen(L->UnixFd, 64) != 0)
       return Fail("listen(" + Opts.UnixSocketPath + ")");
     L->UnixPath = Opts.UnixSocketPath;
-  }
-
-  if (Opts.EnableTcp) {
-    L->TcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (L->TcpFd < 0)
-      return Fail("socket(AF_INET)");
-    int One = 1;
-    ::setsockopt(L->TcpFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK); // local clients only
-    Addr.sin_port = htons(Opts.TcpPort);
-    if (::bind(L->TcpFd, reinterpret_cast<sockaddr *>(&Addr),
-               sizeof(Addr)) != 0)
-      return Fail("bind(127.0.0.1:" + std::to_string(Opts.TcpPort) + ")");
-    if (::listen(L->TcpFd, 64) != 0)
-      return Fail("listen(tcp)");
-    socklen_t Len = sizeof(Addr);
-    if (::getsockname(L->TcpFd, reinterpret_cast<sockaddr *>(&Addr), &Len) ==
-        0)
-      L->TcpPort = ntohs(Addr.sin_port);
-  }
-
-  for (int Fd : {L->UnixFd, L->TcpFd}) {
-    if (Fd < 0)
-      continue;
-    L->AcceptThreads.emplace_back([this, Fd] {
+    L->AcceptThread = std::thread([this, Fd = L->UnixFd] {
       for (;;) {
         int ConnFd = ::accept(Fd, nullptr, nullptr);
         if (ConnFd < 0) {
@@ -436,23 +379,18 @@ void Server::stopListenersOnce() {
   {
     std::lock_guard<std::mutex> Lock(L->M);
     L->Stopping = true;
-    // A serveStdio parked on stdin-EOF must not outlive the listeners.
+    // A serveStdio parked on stdin-EOF must not outlive the listener.
     L->DrainRequested = true;
   }
   L->DrainCv.notify_all();
   // shutdown() before close(): on Linux, closing a listening fd does not
   // wake a thread blocked in accept() on it, but shutdown() does. After
-  // joining the accept loops no new connection threads can appear.
+  // joining the accept loop no new connection threads can appear.
   if (L->UnixFd >= 0)
     ::shutdown(L->UnixFd, SHUT_RDWR);
-  if (L->TcpFd >= 0)
-    ::shutdown(L->TcpFd, SHUT_RDWR);
   closeIfOpen(L->UnixFd);
-  closeIfOpen(L->TcpFd);
-  for (std::thread &T : L->AcceptThreads)
-    if (T.joinable())
-      T.join();
-  L->AcceptThreads.clear();
+  if (L->AcceptThread.joinable())
+    L->AcceptThread.join();
   // Unblock connection readers, then join them.
   std::vector<std::shared_ptr<Conn>> Conns;
   std::vector<std::thread> Threads;

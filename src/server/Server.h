@@ -7,8 +7,8 @@
 /// \file
 /// The front half of `termcheckd`: sessions speaking the NDJSON protocol
 /// (server/Protocol.h) over two transports -- the process's stdin/stdout,
-/// and a local listener (Unix socket and/or loopback TCP) serving any
-/// number of concurrent connections -- all multiplexed onto ONE Scheduler
+/// and an optional Unix-domain socket serving any number of concurrent
+/// connections -- both multiplexed onto ONE Scheduler
 /// (server/Scheduler.h), so admission control and the job pool are global
 /// across transports.
 ///
@@ -46,16 +46,9 @@ bool handleRequestLine(Scheduler &S, const ProtocolLimits &L,
 struct ServerOptions {
   SchedulerConfig Sched;
   ProtocolLimits Limits;
-  /// Seconds between unsolicited stats heartbeat lines on the stdio
-  /// stream (0 = no heartbeat).
-  double HeartbeatSeconds = 0;
   /// Unix-domain listener path ("" = none). An existing socket file at
   /// the path is replaced.
   std::string UnixSocketPath;
-  /// Loopback TCP listener. Disabled unless EnableTcp; TcpPort == 0 binds
-  /// an ephemeral port (read it back with boundTcpPort()).
-  bool EnableTcp = false;
-  uint16_t TcpPort = 0;
 };
 
 /// The daemon: one scheduler, N transports.
@@ -69,26 +62,22 @@ public:
 
   /// Serves the protocol on \p In / \p Out until EOF or an in-band drain
   /// request, then drains gracefully and writes the `drained` line.
-  /// Blocking; returns the process exit code (0). The configured
-  /// heartbeat runs for the duration of the call.
+  /// Blocking; returns the process exit code (0).
   ///
-  /// When listeners are running, EOF on \p In does NOT start the drain:
+  /// When the listener is running, EOF on \p In does NOT start the drain:
   /// a socket-only deployment redirects stdin from /dev/null and the
   /// daemon keeps serving until a drain arrives in-band (any transport)
   /// or through drain().
   int serveStdio(std::istream &In, std::ostream &Out);
 
-  /// Opens the configured listeners and starts their accept loops.
-  /// \returns false (with \p Error set) when binding failed.
+  /// Opens the configured Unix-socket listener and starts its accept
+  /// loop. \returns false (with \p Error set) when binding failed.
   bool startListeners(std::string *Error = nullptr);
 
-  /// Closes listeners and all open connections; joins their threads.
+  /// Closes the listener and all open connections; joins their threads.
   /// Runs once: a concurrent or later call waits for the first one to
   /// finish and then returns. The destructor calls it.
   void stopListeners();
-
-  /// The ephemeral TCP port after startListeners (0 when TCP is off).
-  uint16_t boundTcpPort() const;
 
   /// Drains the scheduler (graceful by default, hard on demand) and
   /// blocks until every in-flight job completed. The signal path of

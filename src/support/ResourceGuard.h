@@ -7,8 +7,7 @@
 /// \file
 /// A shared, thread-safe resource budget for one analysis (or one portfolio
 /// race): a global cap on automaton states materialized across all
-/// subtractions and complements, and an approximate memory cap derived
-/// from it.
+/// subtractions and complements.
 ///
 /// The guard is advisory and cooperative, like the CancellationToken: the
 /// difference engine and the NCSB oracles poll it through the existing
@@ -32,18 +31,11 @@ namespace termcheck {
 /// all members are safe to call concurrently.
 class ResourceGuard {
 public:
-  /// Budget limits; 0 disables the respective cap.
+  /// Budget limits; 0 disables the cap.
   struct Limits {
     /// Total states (product + complement macro-states) across the run.
     uint64_t MaxStates = 0;
-    /// Approximate heap bytes attributed to charged states.
-    uint64_t MaxApproxBytes = 0;
   };
-
-  /// Average cost of one materialized macro-state (transitions, sets,
-  /// interning slots). Deliberately rough: the guard bounds order of
-  /// magnitude, not bytes.
-  static constexpr uint64_t ApproxBytesPerState = 96;
 
   ResourceGuard() = default;
   explicit ResourceGuard(Limits L) : L(L) {}
@@ -54,26 +46,19 @@ public:
   /// Records \p N freshly materialized states.
   void chargeStates(uint64_t N) noexcept {
     uint64_t Total = States.fetch_add(N, std::memory_order_relaxed) + N;
-    if ((L.MaxStates != 0 && Total > L.MaxStates) ||
-        (L.MaxApproxBytes != 0 &&
-         Total * ApproxBytesPerState > L.MaxApproxBytes))
+    if (L.MaxStates != 0 && Total > L.MaxStates)
       Tripped.store(true, std::memory_order_relaxed);
   }
 
-  /// \returns true when charging \p Extra more states would cross a cap
+  /// \returns true when charging \p Extra more states would cross the cap
   /// (without charging them). Used by in-flight constructions to abort
   /// before the damage is done.
   bool wouldExceed(uint64_t Extra) const noexcept {
-    uint64_t Total = States.load(std::memory_order_relaxed) + Extra;
-    if (L.MaxStates != 0 && Total > L.MaxStates)
-      return true;
-    if (L.MaxApproxBytes != 0 &&
-        Total * ApproxBytesPerState > L.MaxApproxBytes)
-      return true;
-    return false;
+    return L.MaxStates != 0 &&
+           States.load(std::memory_order_relaxed) + Extra > L.MaxStates;
   }
 
-  /// Sticky: true once any cap was crossed (or trip() was called).
+  /// Sticky: true once the cap was crossed (or trip() was called).
   bool exhausted() const noexcept {
     return Tripped.load(std::memory_order_relaxed);
   }
@@ -83,10 +68,6 @@ public:
 
   uint64_t statesCharged() const noexcept {
     return States.load(std::memory_order_relaxed);
-  }
-
-  uint64_t approxBytesCharged() const noexcept {
-    return statesCharged() * ApproxBytesPerState;
   }
 
 private:

@@ -261,16 +261,29 @@ TerminationAnalyzer::generalize(const Lasso &L, const LassoWord &W,
   return M0;
 }
 
+/// The difference options of every subtraction in one run: the module
+/// subtractions and the word-only removals alike.
+static DifferenceOptions differenceOptions(const AnalyzerOptions &Opts,
+                                           const std::function<bool()> &Hook) {
+  DifferenceOptions DiffOpts;
+  DiffOpts.UseSubsumption = Opts.UseSubsumption;
+  DiffOpts.ShouldAbort = Hook;
+  DiffOpts.MaxProductStates = Opts.MaxProductStates;
+  DiffOpts.Guard = Opts.Guard;
+  return DiffOpts;
+}
+
 /// Subtracts exactly one ultimately periodic word: the deterministic
 /// one-word automaton is trivially complementable, so this normally always
 /// makes progress. Used when a module's complement blows the budget and
 /// when a lasso is unproven in either direction (the unknown-skip hunt).
-/// \returns std::nullopt when even this construction was aborted (sticky
-/// budget, injected fault pressure, or a guard at its limit).
-static std::optional<Buchi> subtractWordOnly(const Buchi &Remaining,
-                                             const LassoWord &W,
-                                             const DifferenceOptions &DiffOpts,
-                                             Statistics &Stats) {
+/// When even this construction is aborted (sticky budget, injected fault
+/// pressure, or a guard at its limit), the caller has no way to make
+/// progress on this lasso, which is exactly a ResourceExhausted engine
+/// fault (contained by run()).
+static Buchi subtractWordOnly(const Buchi &Remaining, const LassoWord &W,
+                              const DifferenceOptions &DiffOpts,
+                              Statistics &Stats) {
   Stats.add("complement.word_fallback");
   uint32_t Len = static_cast<uint32_t>(W.Stem.size() + W.Loop.size());
   Buchi WordAut(Remaining.numSymbols(), 1);
@@ -288,32 +301,16 @@ static std::optional<Buchi> subtractWordOnly(const Buchi &Remaining,
   DifferenceResult R = difference(Remaining, WordOracle, DiffOpts);
   if (R.Aborted) {
     Stats.add("difference.aborted");
-    return std::nullopt;
-  }
-  return std::move(R.D);
-}
-
-/// subtractWordOnly, escalated: when even the one-word removal cannot
-/// complete, the caller has no way to make progress on this lasso, which
-/// is exactly a ResourceExhausted engine fault (contained by run()).
-static Buchi requireWordOnly(const Buchi &Remaining, const LassoWord &W,
-                             const DifferenceOptions &DiffOpts,
-                             Statistics &Stats) {
-  std::optional<Buchi> B = subtractWordOnly(Remaining, W, DiffOpts, Stats);
-  if (!B)
     throw EngineError(ErrorKind::ResourceExhausted,
                       "word-only subtraction aborted");
-  return std::move(*B);
+  }
+  return std::move(R.D);
 }
 
 Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
                                     const CertifiedModule &M,
                                     Statistics &Stats) {
-  DifferenceOptions DiffOpts;
-  DiffOpts.UseSubsumption = Opts.UseSubsumption;
-  DiffOpts.ShouldAbort = BudgetHook;
-  DiffOpts.MaxProductStates = Opts.MaxProductStates;
-  DiffOpts.Guard = Opts.Guard;
+  DifferenceOptions DiffOpts = differenceOptions(Opts, BudgetHook);
 
   std::unique_ptr<ModularComplement> Modular; // outlives the oracle it feeds
   std::unique_ptr<ComplementOracle> Oracle;
@@ -376,7 +373,7 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
     auto W = findAcceptingLasso(M.A);
     assert(W && "module language cannot be empty here");
     TraceOutcome("word_only", nullptr, true);
-    return requireWordOnly(Remaining, *W, DiffOpts, Stats);
+    return subtractWordOnly(Remaining, *W, DiffOpts, Stats);
   }
 
   DifferenceResult R = difference(Remaining, *Oracle, DiffOpts);
@@ -390,7 +387,7 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
       auto W = findAcceptingLasso(M.A);
       assert(W && "module language cannot be empty here");
       TraceOutcome(CompKind, &R, true);
-      return requireWordOnly(Remaining, *W, DiffOpts, Stats);
+      return subtractWordOnly(Remaining, *W, DiffOpts, Stats);
     }
     // The hook only fires on a tripped deadline, external cancellation, or
     // an exhausted guard, and all are sticky, so the outer loop is about
@@ -480,14 +477,6 @@ AnalysisResult TerminationAnalyzer::run() {
       ~Charge() { S.addTime(Name, T.seconds()); }
     } C{Result.Stats, Name, T};
     return Fn();
-  };
-  auto WordDiffOpts = [&]() {
-    DifferenceOptions DiffOpts;
-    DiffOpts.UseSubsumption = Opts.UseSubsumption;
-    DiffOpts.ShouldAbort = BudgetHook;
-    DiffOpts.MaxProductStates = Opts.MaxProductStates;
-    DiffOpts.Guard = Opts.Guard;
-    return DiffOpts;
   };
   while (true) {
     if (Cancel && Cancel->cancelled()) {
@@ -586,8 +575,9 @@ AnalysisResult TerminationAnalyzer::run() {
         ++SkippedUnknown;
         Result.Stats.add("unknown_lassos_skipped");
         try {
-          Remaining = requireWordOnly(Remaining, *W, WordDiffOpts(),
-                                      Result.Stats);
+          Remaining = subtractWordOnly(
+              Remaining, *W, differenceOptions(Opts, BudgetHook),
+              Result.Stats);
         } catch (const EngineError &E) {
           if (Contain(E)) {
             Result.V = Verdict::Unknown;
@@ -631,8 +621,8 @@ AnalysisResult TerminationAnalyzer::run() {
       // word is sound and keeps TERMINATING reachable; only convergence
       // speed is lost.
       try {
-        Remaining = requireWordOnly(Remaining, *W, WordDiffOpts(),
-                                    Result.Stats);
+        Remaining = subtractWordOnly(
+            Remaining, *W, differenceOptions(Opts, BudgetHook), Result.Stats);
       } catch (const EngineError &E2) {
         if (Contain(E2)) {
           Result.V = Verdict::Unknown;

@@ -11,39 +11,29 @@
 
 #include <cassert>
 #include <deque>
-#include <map>
-#include <set>
 #include <unordered_map>
 
 using namespace termcheck;
-
-std::vector<Symbol>
-ModuleBuilder::moduleAlphabet(const CertifiedModule &M0) const {
-  // Section 3.1 restricts the module alphabet to the statements of
-  // u v^omega; the informal languages of Section 1 (Eq. 1 and 3), however,
-  // mix in statements of the *other* loops, and covering those is what
-  // lets two modules jointly cover Psort. Generalizing over the full
-  // program alphabet subsumes the restricted construction (every
-  // transition is still certificate-checked), so it only grows module
-  // languages; the restricted mode is kept for ablation.
-  if (UseFullAlphabet) {
-    std::vector<Symbol> All(P.numSymbols());
-    for (Symbol S = 0; S < P.numSymbols(); ++S)
-      All[S] = S;
-    return All;
-  }
-  std::set<Symbol> Syms;
-  for (State Q = 0; Q < M0.A.numStates(); ++Q)
-    for (const Buchi::Arc &Arc : M0.A.arcsFrom(Q))
-      Syms.insert(Arc.Sym);
-  return std::vector<Symbol>(Syms.begin(), Syms.end());
-}
 
 Predicate ModuleBuilder::conjoinAll(const CertifiedModule &M0,
                                     const StateSet &Q) const {
   Predicate Out; // empty conjunction = true
   for (State S : Q.elems())
     Out = Predicate::conjoin(Out, M0.Cert[S]);
+  return Out;
+}
+
+StateSet ModuleBuilder::successorsOf(const CertifiedModule &M0,
+                                     const Predicate &Pre, bool FromAccepting,
+                                     Symbol Sym) const {
+  // The triple's source side is target-independent: compute the post once
+  // and only re-check entailment per candidate target state.
+  const LinearExpr *Update = FromAccepting ? &M0.Rank : nullptr;
+  Predicate Post = hoarePostPredicate(Pre, P.statement(Sym), P, Update);
+  StateSet Out;
+  for (State Q = 0; Q < M0.A.numStates(); ++Q)
+    if (Post.entails(M0.Cert[Q], P.oldrnkVar()))
+      Out.insert(Q);
   return Out;
 }
 
@@ -202,22 +192,6 @@ CertifiedModule ModuleBuilder::buildFiniteTrace(const Lasso &L,
 // Stages 2 and 3: deterministic / semideterministic modules
 //===----------------------------------------------------------------------===//
 
-StateSet ModuleBuilder::deltaAnd(const CertifiedModule &M0, State Qf,
-                                 const Predicate &Pre, bool SourceHasQf,
-                                 Symbol Sym) const {
-  (void)Qf;
-  StateSet Out;
-  const Statement &S = P.statement(Sym);
-  const LinearExpr *Update = SourceHasQf ? &M0.Rank : nullptr;
-  // The triple's source side is target-independent: compute the post once
-  // and only re-check entailment per candidate target state.
-  Predicate Post = hoarePostPredicate(Pre, S, P, Update);
-  for (State Q = 0; Q < M0.A.numStates(); ++Q)
-    if (Post.entails(M0.Cert[Q], P.oldrnkVar()))
-      Out.insert(Q);
-  return Out;
-}
-
 StateSet ModuleBuilder::pruneForDet(const CertifiedModule &M0, State Qf,
                                     const StateSet &D) const {
   if (!D.contains(Qf))
@@ -267,9 +241,9 @@ bool ModuleBuilder::pollAbort() {
   return Aborted;
 }
 
-CertifiedModule ModuleBuilder::buildDeterministic(const CertifiedModule &M0) {
-  assert(M0.Kind == ModuleKind::Lasso && "stage 2 starts from stage 0");
-  std::vector<Symbol> Alphabet = moduleAlphabet(M0);
+CertifiedModule ModuleBuilder::buildSubsetModule(const CertifiedModule &M0,
+                                                 bool DelayedAcceptance) {
+  assert(M0.Kind == ModuleKind::Lasso && "stages 2 and 3 start from stage 0");
   // Stage-0 modules have a unique accepting state qf.
   State Qf = UINT32_MAX;
   for (State Q = 0; Q < M0.A.numStates(); ++Q)
@@ -279,138 +253,75 @@ CertifiedModule ModuleBuilder::buildDeterministic(const CertifiedModule &M0) {
 
   CertifiedModule M(Buchi(P.numSymbols(), 1));
   M.Rank = M0.Rank;
-  M.Kind = ModuleKind::Deterministic;
+  M.Kind = DelayedAcceptance ? ModuleKind::Semideterministic
+                             : ModuleKind::Deterministic;
 
+  // Section 3.1.4 grants the extra successor delta-and \ {qf} only to
+  // states "not reachable from an accepting state"; the paper argues this
+  // is well-defined because stem-side subsets imply oldrnk = INF while
+  // loop-side subsets (reached after an accepting visit) do not. We use
+  // that argument as the static criterion: a subset gets the alternative
+  // iff it is non-accepting and its conjunction carries the oldrnk = INF
+  // conjunct (a non-accepting conjunction is satisfiable) -- exactly the
+  // stem side of the automaton. buildSemideterministic guards the result.
   SubsetSpace Space;
-  StateSet Init;
-  for (State Q : M0.A.initials().elems())
-    Init.insert(Q);
-  State Start = Space.intern(std::move(Init));
-
-  std::deque<State> Work{Start};
-  std::vector<bool> Built;
-  auto Ensure = [&](State Id) {
-    while (M.A.numStates() <= Id) {
+  std::vector<bool> AllowAlt, Built;
+  std::deque<State> Work;
+  // Interns a subset; a new one becomes the next module state, with its
+  // conjoined certificate and the F_det acceptance rule. \returns its id,
+  // queued for expansion unless already expanded.
+  auto Visit = [&](StateSet S) {
+    State Id = Space.intern(std::move(S));
+    if (Id == M.A.numStates()) {
       M.A.addState();
-      Predicate Pred = conjoinAll(M0, Space.Sets[M.A.numStates() - 1]);
-      bool Accepting = Space.Sets[M.A.numStates() - 1].contains(Qf) ||
+      Predicate Pred = conjoinAll(M0, Space.Sets[Id]);
+      bool Accepting = Space.Sets[Id].contains(Qf) ||
                        Pred.isUnsatisfiable(P.oldrnkVar());
       if (Accepting)
-        M.A.setAccepting(M.A.numStates() - 1);
+        M.A.setAccepting(Id);
+      AllowAlt.push_back(DelayedAcceptance && !Accepting &&
+                         Pred.oldrnkIsInf());
+      Built.push_back(false);
       M.Cert.push_back(std::move(Pred));
     }
+    if (!Built[Id])
+      Work.push_back(Id);
+    return Id;
   };
-  Ensure(Start);
-  M.A.addInitial(Start);
+  M.A.addInitial(Visit(M0.A.initials()));
 
   while (!Work.empty()) {
     if (pollAbort())
       return M;
     State Id = Work.front();
     Work.pop_front();
-    if (Id < Built.size() && Built[Id])
+    if (Built[Id])
       continue;
-    if (Id >= Built.size())
-      Built.resize(Id + 1, false);
     Built[Id] = true;
-    StateSet Q = Space.Sets[Id];
-    Predicate Pre = conjoinAll(M0, Q);
-    bool HasQf = Q.contains(Qf);
-    for (Symbol Sym : Alphabet) {
-      StateSet D = deltaAnd(M0, Qf, Pre, HasQf, Sym);
-      StateSet Next = pruneForDet(M0, Qf, D);
-      State NextId = Space.intern(std::move(Next));
-      Ensure(NextId);
-      M.A.addTransition(Id, Sym, NextId);
-      if (NextId >= Built.size() || !Built[NextId])
-        Work.push_back(NextId);
+    bool HasQf = Space.Sets[Id].contains(Qf);
+    for (Symbol Sym = 0; Sym < P.numSymbols(); ++Sym) {
+      StateSet D = successorsOf(M0, M.Cert[Id], HasQf, Sym);
+      M.A.addTransition(Id, Sym, Visit(pruneForDet(M0, Qf, D)));
+      if (AllowAlt[Id] && D.contains(Qf)) {
+        D.erase(Qf);
+        M.A.addTransition(Id, Sym, Visit(std::move(D)));
+      }
     }
   }
   return M;
 }
 
+CertifiedModule ModuleBuilder::buildDeterministic(const CertifiedModule &M0) {
+  return buildSubsetModule(M0, /*DelayedAcceptance=*/false);
+}
+
 CertifiedModule
 ModuleBuilder::buildSemideterministic(const CertifiedModule &M0) {
-  assert(M0.Kind == ModuleKind::Lasso && "stage 3 starts from stage 0");
-  std::vector<Symbol> Alphabet = moduleAlphabet(M0);
-  State Qf = UINT32_MAX;
-  for (State Q = 0; Q < M0.A.numStates(); ++Q)
-    if (M0.A.acceptMask(Q) != 0)
-      Qf = Q;
-  assert(Qf != UINT32_MAX && "lasso module must have an accepting state");
-
-  // Subset construction with the delayed-acceptance alternative of
-  // Section 3.1.4. The extra successor delta-and \ {qf} is granted only to
-  // states "not reachable from an accepting state"; the paper argues this
-  // is well-defined because stem-side subsets imply oldrnk = INF while
-  // loop-side subsets (reached after an accepting visit) do not. We use
-  // that argument as the static criterion: a subset gets the alternative
-  // iff it is non-accepting and its conjunction is satisfiable with the
-  // oldrnk = INF conjunct -- exactly the stem side of the automaton. A
-  // final semideterminism check guards the construction.
-  SubsetSpace Space;
-  StateSet Init;
-  for (State Q : M0.A.initials().elems())
-    Init.insert(Q);
-  State Start = Space.intern(std::move(Init));
-
-  CertifiedModule M(Buchi(P.numSymbols(), 1));
-  M.Rank = M0.Rank;
-  M.Kind = ModuleKind::Semideterministic;
-
-  std::vector<bool> AllowAlt;
-  std::deque<State> Work{Start};
-  std::vector<bool> Built;
-  auto Ensure = [&](State Id) {
-    while (M.A.numStates() <= Id) {
-      State Fresh = M.A.addState();
-      Predicate Pred = conjoinAll(M0, Space.Sets[Fresh]);
-      bool Unsat = Pred.isUnsatisfiable(P.oldrnkVar());
-      bool Accepting = Space.Sets[Fresh].contains(Qf) || Unsat;
-      if (Accepting)
-        M.A.setAccepting(Fresh);
-      AllowAlt.push_back(!Accepting && !Unsat && Pred.oldrnkIsInf());
-      M.Cert.push_back(std::move(Pred));
-    }
-  };
-  Ensure(Start);
-  M.A.addInitial(Start);
-
-  while (!Work.empty()) {
-    if (pollAbort())
-      return M;
-    State Id = Work.front();
-    Work.pop_front();
-    if (Id < Built.size() && Built[Id])
-      continue;
-    if (Id >= Built.size())
-      Built.resize(Id + 1, false);
-    Built[Id] = true;
-    StateSet Q = Space.Sets[Id];
-    bool HasQf = Q.contains(Qf);
-    for (Symbol Sym : Alphabet) {
-      StateSet D = deltaAnd(M0, Qf, M.Cert[Id], HasQf, Sym);
-      State Primary = Space.intern(pruneForDet(M0, Qf, D));
-      Ensure(Primary);
-      M.A.addTransition(Id, Sym, Primary);
-      if (Primary >= Built.size() || !Built[Primary])
-        Work.push_back(Primary);
-      if (AllowAlt[Id] && D.contains(Qf)) {
-        StateSet Alt = D;
-        Alt.erase(Qf);
-        State AltId = Space.intern(std::move(Alt));
-        Ensure(AltId);
-        M.A.addTransition(Id, Sym, AltId);
-        if (AltId >= Built.size() || !Built[AltId])
-          Work.push_back(AltId);
-      }
-    }
-  }
-
+  CertifiedModule M = buildSubsetModule(M0, /*DelayedAcceptance=*/true);
   // Guard: in pathological certificate shapes the static criterion could
   // misclassify; fall back to the purely deterministic successor relation
   // (still a valid certified module) rather than hand a non-SDBA to NCSB.
-  if (!classifySdba(completeWithSink(M.A)).IsSemideterministic) {
+  if (!Aborted && !classifySdba(completeWithSink(M.A)).IsSemideterministic) {
     CertifiedModule Det = buildDeterministic(M0);
     Det.Kind = ModuleKind::Semideterministic;
     return Det;
@@ -425,7 +336,6 @@ ModuleBuilder::buildSemideterministic(const CertifiedModule &M0) {
 
 CertifiedModule
 ModuleBuilder::buildSaturatedLasso(const CertifiedModule &M0) {
-  std::vector<Symbol> Alphabet = moduleAlphabet(M0);
   CertifiedModule M = M0;
   M.Kind = ModuleKind::Semideterministic;
   for (State Q = 0; Q < M0.A.numStates(); ++Q) {
@@ -434,13 +344,10 @@ ModuleBuilder::buildSaturatedLasso(const CertifiedModule &M0) {
     if (!M0.Cert[Q].oldrnkIsInf())
       continue;
     bool Accepting = M0.A.acceptMask(Q) != 0;
-    const LinearExpr *Update = Accepting ? &M0.Rank : nullptr;
-    for (Symbol Sym : Alphabet) {
-      const Statement &S = P.statement(Sym);
-      Predicate Post = hoarePostPredicate(M0.Cert[Q], S, P, Update);
-      for (State To = 0; To < M0.A.numStates(); ++To)
-        if (Post.entails(M0.Cert[To], P.oldrnkVar()))
-          M.A.addTransition(Q, Sym, To);
+    for (Symbol Sym = 0; Sym < P.numSymbols(); ++Sym) {
+      StateSet Succ = successorsOf(M0, M0.Cert[Q], Accepting, Sym);
+      for (State To : Succ.elems())
+        M.A.addTransition(Q, Sym, To);
     }
   }
   if (!classifySdba(completeWithSink(M.A)).IsSemideterministic) {
@@ -453,20 +360,16 @@ ModuleBuilder::buildSaturatedLasso(const CertifiedModule &M0) {
 
 CertifiedModule
 ModuleBuilder::buildNondeterministic(const CertifiedModule &M0) {
-  std::vector<Symbol> Alphabet = moduleAlphabet(M0);
   CertifiedModule M = M0;
   M.Kind = ModuleKind::Nondeterministic;
   for (State Q = 0; Q < M0.A.numStates(); ++Q) {
     if (pollAbort())
       return M;
     bool Accepting = M0.A.acceptMask(Q) != 0;
-    const LinearExpr *Update = Accepting ? &M0.Rank : nullptr;
-    for (Symbol Sym : Alphabet) {
-      const Statement &S = P.statement(Sym);
-      Predicate Post = hoarePostPredicate(M0.Cert[Q], S, P, Update);
-      for (State To = 0; To < M0.A.numStates(); ++To)
-        if (Post.entails(M0.Cert[To], P.oldrnkVar()))
-          M.A.addTransition(Q, Sym, To);
+    for (Symbol Sym = 0; Sym < P.numSymbols(); ++Sym) {
+      StateSet Succ = successorsOf(M0, M0.Cert[Q], Accepting, Sym);
+      for (State To : Succ.elems())
+        M.A.addTransition(Q, Sym, To);
     }
   }
   return M;

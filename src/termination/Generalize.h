@@ -19,6 +19,12 @@
 ///   stage 3  M_semi  M_det with delayed-acceptance alternatives (3.1.4).
 ///   stage 4  M_non   every certificate-respecting transition (3.1.5).
 ///
+/// Stages 2 and 3 are one subset construction: stage 3 switches on the
+/// alternative successor. Stages 2-4 and the stem-saturated fallback all
+/// ask one Hoare-triple question, successorsOf: which states' certificates
+/// does the post of a predicate under a statement entail? Every stage
+/// generalizes over the full program alphabet.
+///
 /// The driver tries the configured stage sequence in order and accepts the
 /// first module whose language contains u v^omega.
 ///
@@ -39,11 +45,6 @@ namespace termcheck {
 class ModuleBuilder {
 public:
   explicit ModuleBuilder(Program &P) : P(P) {}
-
-  /// When true (default), stages 2-4 generalize over the full program
-  /// alphabet (the Section 1 semantics, e.g. Eq. 1/3); when false, they
-  /// use only the statements of u v^omega (the literal Section 3.1 rule).
-  bool UseFullAlphabet = true;
 
   /// Optional budget hook, polled once per popped subset in the stage-2
   /// and stage-3 worklists and once per source state in stage 4. When it
@@ -87,15 +88,20 @@ private:
   /// Polls ShouldAbort; latches Aborted when it fires.
   bool pollAbort();
 
-  /// Symbols labeling any edge of \p M0 (the module alphabet Sigma_M).
-  std::vector<Symbol> moduleAlphabet(const CertifiedModule &M0) const;
-
   /// Conjunction of the certificate predicates of a state set.
   Predicate conjoinAll(const CertifiedModule &M0, const StateSet &Q) const;
 
-  /// delta-and of Definition 3.2 for source set \p Q and statement \p Sym.
-  StateSet deltaAnd(const CertifiedModule &M0, State Qf, const Predicate &Pre,
-                    bool SourceHasQf, Symbol Sym) const;
+  /// The states of \p M0 whose certificates the post of \p Pre under
+  /// \p Sym entails, with `oldrnk := f` applied first when the source is
+  /// accepting: delta-and of Definition 3.2, and the per-state transition
+  /// rule of stage 4.
+  StateSet successorsOf(const CertifiedModule &M0, const Predicate &Pre,
+                        bool FromAccepting, Symbol Sym) const;
+
+  /// The subset construction of stage 2; with \p DelayedAcceptance, the
+  /// stage-3 construction (before its semideterminism guard).
+  CertifiedModule buildSubsetModule(const CertifiedModule &M0,
+                                    bool DelayedAcceptance);
 
   /// Definition 3.2's pruning of non-accepting oldrnk states when qf is in
   /// the successor set.

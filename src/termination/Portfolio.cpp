@@ -129,8 +129,7 @@ public:
       Entrants[I].Name = Configs[I].Name;
     // One guard meters the whole race: entrants draw from a shared budget,
     // so K configurations cannot multiply the memory footprint by K.
-    if (Opts.GuardLimits.MaxStates != 0 ||
-        Opts.GuardLimits.MaxApproxBytes != 0) {
+    if (Opts.GuardLimits.MaxStates != 0) {
       GuardStorage.emplace(Opts.GuardLimits);
       Guard = &*GuardStorage;
     }

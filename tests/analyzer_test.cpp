@@ -405,23 +405,4 @@ TEST(Analyzer, ReductionDoesNotChangeVerdicts) {
   }
 }
 
-TEST(Analyzer, RestrictedAlphabetStillSolvesSimpleLoops) {
-  // The Section 3.1 literal alphabet rule is exercised through the module
-  // builder directly (the analyzer default is the full alphabet).
-  Program P = parse("program p(i) { while (i > 0) { i := i - 1; } }");
-  Buchi AP = programToBuchi(P);
-  auto W = findAcceptingLasso(AP);
-  ASSERT_TRUE(W.has_value());
-  LassoProver Prover(P);
-  Lasso L{W->Stem, W->Loop};
-  LassoProof Proof = Prover.prove(L);
-  ASSERT_EQ(Proof.Status, LassoStatus::Terminating);
-  ModuleBuilder B(P);
-  B.UseFullAlphabet = false;
-  CertifiedModule M0 = B.buildLasso(L, Proof);
-  CertifiedModule MSemi = B.buildSemideterministic(M0);
-  EXPECT_TRUE(acceptsLasso(MSemi.A, *W));
-  EXPECT_EQ(validateModule(MSemi, P), "");
-}
-
 } // namespace

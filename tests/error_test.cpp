@@ -182,17 +182,6 @@ TEST(ResourceGuard, StateCapTripsStickily) {
   EXPECT_TRUE(G.exhausted());
 }
 
-TEST(ResourceGuard, MemoryCapUsesApproximation) {
-  ResourceGuard::Limits L;
-  L.MaxApproxBytes = 10 * ResourceGuard::ApproxBytesPerState;
-  ResourceGuard G(L);
-  G.chargeStates(10);
-  EXPECT_FALSE(G.exhausted());
-  EXPECT_EQ(G.approxBytesCharged(), L.MaxApproxBytes);
-  G.chargeStates(1);
-  EXPECT_TRUE(G.exhausted());
-}
-
 TEST(ResourceGuard, ManualTrip) {
   ResourceGuard G;
   EXPECT_FALSE(G.exhausted());

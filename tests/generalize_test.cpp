@@ -6,11 +6,23 @@
 
 #include "termination/Generalize.h"
 
+#include "automata/DbaComplement.h"
+#include "automata/Difference.h"
 #include "automata/Ops.h"
 #include "automata/Scc.h"
 #include "automata/Sdba.h"
+#include "benchgen/ProgramFamilies.h"
+#include "program/Parser.h"
+#include "termination/Analyzer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 using namespace termcheck;
 
@@ -133,7 +145,7 @@ TEST_F(GeneralizeTest, Stage3SemiAcceptsTheWord) {
 }
 
 TEST_F(GeneralizeTest, Stage3CoversEventuallyInnerPaths) {
-  // With the default full-alphabet generalization, M_semi covers the
+  // Generalizing over the full program alphabet, M_semi covers the
   // introduction's L1 (Eq. 1): words that wander through both loops but
   // eventually stay in the inner loop.
   ModuleBuilder B(P);
@@ -147,20 +159,6 @@ TEST_F(GeneralizeTest, Stage3CoversEventuallyInnerPaths) {
   EXPECT_TRUE(acceptsLasso(MSemi.A, Pumped));
   // Words that take the outer loop forever are NOT covered by f = i - j.
   EXPECT_FALSE(acceptsLasso(MSemi.A, outerWord()));
-}
-
-TEST_F(GeneralizeTest, RestrictedAlphabetRejectsForeignStatements) {
-  // Section 3.1's literal rule: the module alphabet is only the
-  // statements of u v^omega; words containing j>=i or i-- are rejected.
-  ModuleBuilder B(P);
-  B.UseFullAlphabet = false;
-  CertifiedModule M0 = B.buildLasso(innerLasso(), provenInner());
-  CertifiedModule MSemi = B.buildSemideterministic(M0);
-  LassoWord Wander{{IGt0, JAssign1, JLtI, JInc, JGeI, IDec, IGt0, JAssign1},
-                   {JLtI, JInc}};
-  EXPECT_FALSE(acceptsLasso(MSemi.A, Wander));
-  EXPECT_TRUE(acceptsLasso(MSemi.A, innerWord()));
-  EXPECT_EQ(validateModule(MSemi, P), "");
 }
 
 TEST_F(GeneralizeTest, Stage4NondetAcceptsTheWordAndIsValid) {
@@ -300,6 +298,169 @@ TEST_F(GeneralizeTest, EmptyStemMaterializesLoop) {
   CertifiedModule M0 = B.buildLasso(L, Proof);
   EXPECT_EQ(validateModule(M0, P), "");
   EXPECT_TRUE(acceptsLasso(M0.A, {{}, {IGt0, IDec}}));
+}
+
+//===----------------------------------------------------------------------===//
+// Golden module shapes
+//===----------------------------------------------------------------------===//
+
+#ifndef TERMCHECK_CORPUS_DIR
+#error "build must define TERMCHECK_CORPUS_DIR"
+#endif
+#ifndef TERMCHECK_MODULES_GOLDEN
+#error "build must define TERMCHECK_MODULES_GOLDEN"
+#endif
+
+/// Canonical text of a module list: per module its kind and rank, per
+/// state its acceptance, certificate and arcs in arcsFrom order, then the
+/// initial states.
+std::string dumpModules(const std::vector<CertifiedModule> &Ms,
+                        const Program &P) {
+  std::ostringstream OS;
+  for (const CertifiedModule &M : Ms) {
+    OS << "module " << moduleKindName(M.Kind) << " rank "
+       << M.Rank.str(P.vars()) << "\n";
+    for (State Q = 0; Q < M.A.numStates(); ++Q) {
+      OS << "  " << Q << (M.A.acceptMask(Q) != 0 ? " acc" : " -") << " ["
+         << M.Cert[Q].str(P.vars()) << "]";
+      for (const Buchi::Arc &Arc : M.A.arcsFrom(Q))
+        OS << " " << Arc.Sym << ">" << Arc.To;
+      OS << "\n";
+    }
+    OS << "  init";
+    for (State Q : M.A.initials().elems())
+      OS << " " << Q;
+    OS << "\n";
+  }
+  return OS.str();
+}
+
+uint64_t fnv64(const std::string &S) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// Removes exactly the word \p W from \p A.
+Buchi subtractWord(const Buchi &A, const LassoWord &W) {
+  uint32_t Len = static_cast<uint32_t>(W.Stem.size() + W.Loop.size());
+  Buchi WordAut(A.numSymbols(), 1);
+  WordAut.addStates(Len);
+  WordAut.addInitial(0);
+  for (uint32_t I = 0; I < Len; ++I) {
+    WordAut.setAccepting(I);
+    Symbol Sym = I < W.Stem.size() ? W.Stem[I] : W.Loop[I - W.Stem.size()];
+    WordAut.addTransition(
+        I, Sym, I + 1 < Len ? I + 1 : static_cast<State>(W.Stem.size()));
+  }
+  Buchi Complete = completeWithSink(WordAut);
+  DbaComplementOracle Oracle(Complete);
+  return std::move(difference(A, Oracle).D);
+}
+
+struct GoldenProgram {
+  std::string Name;
+  std::string Source;
+};
+
+std::vector<GoldenProgram> goldenPrograms() {
+  std::vector<GoldenProgram> Out;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(TERMCHECK_CORPUS_DIR)) {
+    if (Entry.path().extension() != ".while")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Out.push_back({"corpus/" + Entry.path().stem().string(), Buf.str()});
+  }
+  std::sort(Out.begin(), Out.end(),
+            [](const GoldenProgram &A, const GoldenProgram &B) {
+              return A.Name < B.Name;
+            });
+  for (const BenchProgram &BP : smallBenchmarkSuite())
+    Out.push_back({"suite/" + BP.Name, BP.Source});
+  return Out;
+}
+
+TEST(GeneralizeGolden, ModuleShapesMatchTheGoldenFile) {
+  // Pins the modules behind the verdicts: the analyzer's modules under
+  // sequences (i) and (iii), and stages 2-4 plus the saturated fallback on
+  // the stage-0 module of the first sampled lasso that proves terminating.
+  // Each run is one line "<program> <run> <verdict> <modules> <fnv64>";
+  // the hash covers dumpModules(), which a mismatch prints.
+  std::map<std::string, std::string> Golden;
+  std::ifstream GoldenIn(TERMCHECK_MODULES_GOLDEN);
+  ASSERT_TRUE(GoldenIn) << "cannot open " << TERMCHECK_MODULES_GOLDEN;
+  for (std::string Line; std::getline(GoldenIn, Line);) {
+    std::istringstream LS(Line);
+    std::string Prog, Run;
+    LS >> Prog >> Run;
+    Golden[Prog + " " + Run] = Line;
+  }
+
+  size_t Runs = 0;
+  auto Check = [&](const std::string &Key, const char *Verdict,
+                   const std::vector<CertifiedModule> &Ms, const Program &P) {
+    ++Runs;
+    std::string Dump = dumpModules(Ms, P);
+    char Hash[17];
+    std::snprintf(Hash, sizeof(Hash), "%016llx",
+                  static_cast<unsigned long long>(fnv64(Dump)));
+    std::string Line = Key + " " + Verdict + " " +
+                       std::to_string(Ms.size()) + " " + Hash;
+    auto It = Golden.find(Key);
+    std::string Expected = It == Golden.end() ? "(none)" : It->second;
+    EXPECT_EQ(Expected, Line) << "module dump of " << Key << ":\n" << Dump;
+  };
+
+  for (const GoldenProgram &GP : goldenPrograms()) {
+    ParseResult R = parseProgram(GP.Source);
+    ASSERT_TRUE(R.ok()) << GP.Name << ": " << R.Error;
+    Program &P = *R.Prog;
+    for (bool All : {false, true}) {
+      AnalyzerOptions Opts;
+      Opts.Sequence = All ? AnalyzerOptions::sequenceAll()
+                          : AnalyzerOptions::sequenceSkipDet();
+      // Caps no golden run reaches: a construction that stops the
+      // refinement from converging fails the comparison instead of
+      // running on.
+      Opts.MaxIterations = 64;
+      Opts.TimeoutSeconds = 60;
+      AnalysisResult Res = TerminationAnalyzer(P, Opts).run();
+      Check(GP.Name + (All ? " seq_iii" : " seq_i"), verdictName(Res.V),
+            Res.Modules, P);
+    }
+
+    // Sampling mirrors the analyzer: a lasso that does not prove
+    // terminating is removed as a single word before the next sample.
+    Buchi Remaining = programToBuchi(P);
+    LassoProver Prover(P);
+    std::vector<CertifiedModule> Stages;
+    for (int Sample = 0; Sample < 8 && Stages.empty(); ++Sample) {
+      std::optional<LassoWord> W = findAcceptingLasso(Remaining);
+      if (!W)
+        break;
+      Lasso L{W->Stem, W->Loop};
+      LassoProof Proof = Prover.prove(L);
+      if (Proof.Status != LassoStatus::Terminating) {
+        Remaining = subtractWord(Remaining, *W);
+        continue;
+      }
+      ModuleBuilder B(P);
+      CertifiedModule M0 = B.buildLasso(L, Proof);
+      Stages.push_back(B.buildDeterministic(M0));
+      Stages.push_back(B.buildSemideterministic(M0));
+      Stages.push_back(B.buildNondeterministic(M0));
+      Stages.push_back(B.buildSaturatedLasso(M0));
+    }
+    Check(GP.Name + " stages", Stages.empty() ? "none" : "terminating",
+          Stages, P);
+  }
+  EXPECT_EQ(Runs, Golden.size()) << "stale lines in the golden file";
 }
 
 } // namespace

@@ -27,7 +27,8 @@
 #     daemon survives to drain cleanly;
 #  8. removed flags are usage errors (exit 4, unknown option):
 #     --module-cache for termcheckd and termcheck-batch, --workers for
-#     both, and termcheck-batch --jobs;
+#     both, termcheck-batch --jobs, and termcheckd --tcp and --heartbeat;
+#     termcheck-batch --connect takes only unix:<path> (exit 4 otherwise);
 #  9. a one-job sandboxed daemon run writes worker_spawn and worker_exit
 #     to its --trace file, and exits 1 naming --trace when the trace
 #     cannot be written (/dev/full; skipped where it is not writable);
@@ -209,13 +210,16 @@ done < "$DIR/crash.ok.txt"
 echo "== 8. removed flags are unknown options to the daemon and the client"
 # Deleted flags must fail loudly as usage errors instead of being accepted
 # or silently ignored: --module-cache (the cross-run module cache),
-# --workers (the daemon's pool has one thread per core) and the client's
-# --jobs (a daemon portfolio job runs its entrants in roster order).
+# --workers (the daemon's pool has one thread per core), the client's
+# --jobs (a daemon portfolio job runs its entrants in roster order), and
+# the daemon's --tcp listener and --heartbeat stats lines (the transports
+# are stdio and the Unix socket). A daemon that accepted --tcp would keep
+# serving after stdin EOF, so every check runs under timeout.
 # expect_unknown_option FLAG COMMAND...
 expect_unknown_option() {
   FLAG=$1
   shift
-  ERR=$("$@" < /dev/null 2>&1 >/dev/null)
+  ERR=$(timeout 30 "$@" < /dev/null 2>&1 >/dev/null)
   RC=$?
   if [ "$RC" != 4 ]; then
     echo "FAIL $1 $FLAG: exit $RC, expected 4" >&2
@@ -233,6 +237,20 @@ expect_unknown_option --module-cache "$BATCH" --spawn "$DAEMON" \
 expect_unknown_option --workers "$DAEMON" --workers 2
 expect_unknown_option --workers "$BATCH" --spawn "$DAEMON" --workers 2 --health
 expect_unknown_option --jobs "$BATCH" --spawn "$DAEMON" --jobs 2 --health
+expect_unknown_option --tcp "$DAEMON" --tcp 0
+expect_unknown_option --heartbeat "$DAEMON" --heartbeat 1
+# The client's --connect names a Unix socket; the [host:]port form is gone.
+ERR=$(timeout 30 "$BATCH" --connect 127.0.0.1:7 --health 2>&1 >/dev/null)
+RC=$?
+if [ "$RC" != 4 ]; then
+  echo "FAIL $BATCH --connect 127.0.0.1:7: exit $RC, expected 4" >&2
+  exit 1
+fi
+case "$ERR" in
+  *"--connect"*) ;;
+  *) echo "FAIL $BATCH --connect 127.0.0.1:7: diagnostic: $ERR" >&2
+     exit 1 ;;
+esac
 
 echo "== 9. termcheckd --trace: a trace that cannot be written is an error"
 # One sandboxed job writes worker_spawn and worker_exit events; into a

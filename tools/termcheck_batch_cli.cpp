@@ -10,8 +10,7 @@
 ///
 ///   termcheck-batch [options] <corpus-dir | manifest-file>
 ///     --spawn <termcheckd>  fork/exec the daemon and speak over pipes
-///     --connect <addr>      connect instead: "unix:<path>" or
-///                           "[host:]port" (loopback TCP)
+///     --connect unix:<path> connect to a daemon's Unix socket instead
 ///     --window <N>          max outstanding submissions (default 16)
 ///     --verdicts <file>     write sorted "name VERDICT" lines ('-' =
 ///                           stdout); the file is valid input for
@@ -64,8 +63,6 @@
 #include <sstream>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -81,7 +78,7 @@ void usage(const char *Prog) {
       stderr,
       "usage: %s [options] <corpus-dir | manifest-file>\n"
       "  --spawn <termcheckd>   fork/exec the daemon over pipes\n"
-      "  --connect <addr>       \"unix:<path>\" or \"[host:]port\"\n"
+      "  --connect unix:<path>  connect to a daemon's Unix socket\n"
       "  --window <N>           max outstanding submissions (default 16)\n"
       "  --verdicts <file>      write sorted \"name VERDICT\" lines\n"
       "  --expect <file>        diff verdicts against an oracle file\n"
@@ -234,51 +231,22 @@ bool spawnDaemon(const char *Path, const std::vector<std::string> &Args,
   return true;
 }
 
-bool connectDaemon(const std::string &Addr, Transport &T) {
-  int Fd = -1;
-  if (Addr.rfind("unix:", 0) == 0) {
-    std::string Path = Addr.substr(5);
-    sockaddr_un SA{};
-    SA.sun_family = AF_UNIX;
-    if (Path.size() >= sizeof(SA.sun_path)) {
-      std::fprintf(stderr, "termcheck-batch: socket path too long\n");
-      return false;
-    }
-    std::strncpy(SA.sun_path, Path.c_str(), sizeof(SA.sun_path) - 1);
-    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0 ||
-        ::connect(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) != 0) {
-      std::fprintf(stderr, "termcheck-batch: cannot connect to %s: %s\n",
-                   Path.c_str(), std::strerror(errno));
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
-  } else {
-    std::string Host = "127.0.0.1", PortStr = Addr;
-    size_t Colon = Addr.rfind(':');
-    if (Colon != std::string::npos) {
-      Host = Addr.substr(0, Colon);
-      PortStr = Addr.substr(Colon + 1);
-    }
-    long Port = parseCount("--connect", PortStr.c_str(), 1, 65535,
-                           "a TCP port in [1, 65535]");
-    sockaddr_in SA{};
-    SA.sin_family = AF_INET;
-    SA.sin_port = htons(static_cast<uint16_t>(Port));
-    if (::inet_pton(AF_INET, Host.c_str(), &SA.sin_addr) != 1) {
-      std::fprintf(stderr, "termcheck-batch: bad host '%s'\n", Host.c_str());
-      return false;
-    }
-    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (Fd < 0 ||
-        ::connect(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) != 0) {
-      std::fprintf(stderr, "termcheck-batch: cannot connect to %s: %s\n",
-                   Addr.c_str(), std::strerror(errno));
-      if (Fd >= 0)
-        ::close(Fd);
-      return false;
-    }
+bool connectDaemon(const std::string &Path, Transport &T) {
+  sockaddr_un SA{};
+  SA.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(SA.sun_path)) {
+    std::fprintf(stderr, "termcheck-batch: socket path too long\n");
+    return false;
+  }
+  std::strncpy(SA.sun_path, Path.c_str(), sizeof(SA.sun_path) - 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0 ||
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) != 0) {
+    std::fprintf(stderr, "termcheck-batch: cannot connect to %s: %s\n",
+                 Path.c_str(), std::strerror(errno));
+    if (Fd >= 0)
+      ::close(Fd);
+    return false;
   }
   T.ReadFd = T.WriteFd = Fd;
   return true;
@@ -329,7 +297,7 @@ int probeHealth(Transport &T) {
   while (T.readLine(Line)) {
     json::Value Doc;
     if (!json::parse(Line, Doc, RespLimits) || !Doc.isObject())
-      continue; // tolerate interleaved heartbeat noise
+      continue; // skip lines that are not JSON objects
     const json::Value *TypeV = Doc.find("type");
     if (!TypeV || !TypeV->isString())
       continue;
@@ -394,7 +362,7 @@ int diffAgainstExpectations(const std::map<std::string, std::string> &Got,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  const char *SpawnPath = nullptr, *ConnectAddr = nullptr;
+  const char *SpawnPath = nullptr, *ConnectPath = nullptr;
   const char *VerdictsPath = nullptr, *ExpectPath = nullptr;
   const char *InputPath = nullptr;
   JobOptions JO;
@@ -415,8 +383,12 @@ int main(int Argc, char **Argv) {
     };
     if (std::strcmp(Arg, "--spawn") == 0)
       SpawnPath = NeedsValue("--spawn");
-    else if (std::strcmp(Arg, "--connect") == 0)
-      ConnectAddr = NeedsValue("--connect");
+    else if (std::strcmp(Arg, "--connect") == 0) {
+      const char *V = NeedsValue("--connect");
+      if (std::strncmp(V, "unix:", 5) != 0)
+        badValue("--connect", V, "unix:<path>");
+      ConnectPath = V + 5;
+    }
     else if (std::strcmp(Arg, "--window") == 0)
       Window = static_cast<size_t>(parseCount(
           "--window", NeedsValue("--window"), 1, 4096, "a window in "
@@ -474,8 +446,8 @@ int main(int Argc, char **Argv) {
     } else
       InputPath = Arg;
   }
-  if ((!InputPath && !HealthProbe) || (!SpawnPath && !ConnectAddr) ||
-      (SpawnPath && ConnectAddr)) {
+  if ((!InputPath && !HealthProbe) || (!SpawnPath && !ConnectPath) ||
+      (SpawnPath && ConnectPath)) {
     usage(Argv[0]);
     return 4;
   }
@@ -486,7 +458,7 @@ int main(int Argc, char **Argv) {
     if (SpawnPath) {
       if (!spawnDaemon(SpawnPath, DaemonArgs, T))
         return 2;
-    } else if (!connectDaemon(ConnectAddr, T))
+    } else if (!connectDaemon(ConnectPath, T))
       return 2;
     int RC = probeHealth(T);
     if (T.Child > 0) {
@@ -549,7 +521,7 @@ int main(int Argc, char **Argv) {
   if (SpawnPath) {
     if (!spawnDaemon(SpawnPath, DaemonArgs, T))
       return 2;
-  } else if (!connectDaemon(ConnectAddr, T))
+  } else if (!connectDaemon(ConnectPath, T))
     return 2;
 
   // Submission loop: keep up to Window jobs outstanding; queue_full

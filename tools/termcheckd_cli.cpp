@@ -6,9 +6,8 @@
 ///
 /// `termcheckd`: the long-running batch analysis server. Speaks the
 /// newline-delimited JSON protocol of server/Protocol.h on stdin/stdout,
-/// and optionally on a Unix-domain socket and/or a loopback TCP port, all
-/// feeding ONE scheduler (server/Scheduler.h) so admission control is
-/// global. Its pool has one thread per core, and each running job holds
+/// and optionally on a Unix-domain socket, both feeding ONE scheduler
+/// (server/Scheduler.h) so admission control is global. Its pool has one thread per core, and each running job holds
 /// one pool thread.
 ///
 ///   termcheckd [options]
@@ -17,10 +16,7 @@
 ///                          submissions beyond it are rejected with
 ///                          reason "queue_full"
 ///     --max-timeout <s>    clamp on per-job analysis budgets (default 300)
-///     --heartbeat <s>      unsolicited stats lines on stdout (default off)
 ///     --unix-socket <path> also listen on a Unix-domain socket
-///     --tcp [port]         also listen on loopback TCP (0 = ephemeral;
-///                          the bound port is announced on stderr)
 ///     --isolation <mode>   inprocess | sandbox | auto (default auto):
 ///                          run jobs in forked, rlimit-budgeted worker
 ///                          processes so an engine crash costs one job,
@@ -31,7 +27,7 @@
 ///
 /// Shutdown: EOF on stdin or an in-band {"op":"drain"} drains gracefully
 /// (queued and running jobs finish, then a {"type":"drained"} line).
-/// With listeners up, stdin EOF does NOT drain -- run socket-only
+/// With the socket listener up, stdin EOF does NOT drain -- run socket-only
 /// deployments as `termcheckd --unix-socket P < /dev/null` and stop them
 /// with a signal or an in-band drain. A signal-driven shutdown may emit
 /// the drained marker twice (stdio session and signal path both report);
@@ -72,10 +68,7 @@ void usage(const char *Prog) {
                "  --max-active <N>      concurrent jobs (default 4)\n"
                "  --queue-cap <N>       admission queue bound (default 64)\n"
                "  --max-timeout <s>     per-job budget clamp (default 300)\n"
-               "  --heartbeat <s>       periodic stats lines on stdout\n"
                "  --unix-socket <path>  listen on a Unix-domain socket\n"
-               "  --tcp [port]          listen on loopback TCP (0 = "
-               "ephemeral)\n"
                "  --isolation <mode>    inprocess | sandbox | auto "
                "(default auto)\n"
                "  --trace <file>        JSONL worker lifecycle trace\n",
@@ -139,18 +132,9 @@ int main(int Argc, char **Argv) {
     else if (std::strcmp(Arg, "--max-timeout") == 0)
       Opts.Sched.MaxTimeoutSeconds =
           parseSeconds("--max-timeout", NeedsValue("--max-timeout"));
-    else if (std::strcmp(Arg, "--heartbeat") == 0)
-      Opts.HeartbeatSeconds =
-          parseSeconds("--heartbeat", NeedsValue("--heartbeat"));
     else if (std::strcmp(Arg, "--unix-socket") == 0)
       Opts.UnixSocketPath = NeedsValue("--unix-socket");
-    else if (std::strcmp(Arg, "--tcp") == 0) {
-      Opts.EnableTcp = true;
-      // Optional port operand (0 or absent = ephemeral).
-      if (I + 1 < Argc && Argv[I + 1][0] != '-')
-        Opts.TcpPort = static_cast<uint16_t>(parseCount(
-            "--tcp", Argv[++I], 0, 65535, "a TCP port in [0, 65535]"));
-    } else if (std::strcmp(Arg, "--isolation") == 0) {
+    else if (std::strcmp(Arg, "--isolation") == 0) {
       const char *V = NeedsValue("--isolation");
       if (!server::isolationModeFromName(V, Opts.Sched.Isolation))
         badValue("--isolation", V, "one of inprocess|sandbox|auto");
@@ -209,18 +193,14 @@ int main(int Argc, char **Argv) {
   pthread_sigmask(SIG_BLOCK, &SigSet, nullptr);
 
   Server S(Opts);
-  if (!Opts.UnixSocketPath.empty() || Opts.EnableTcp) {
+  if (!Opts.UnixSocketPath.empty()) {
     std::string Error;
     if (!S.startListeners(&Error)) {
       std::fprintf(stderr, "termcheckd: %s\n", Error.c_str());
       return 1;
     }
-    if (Opts.EnableTcp)
-      std::fprintf(stderr, "termcheckd: listening on 127.0.0.1:%u\n",
-                   static_cast<unsigned>(S.boundTcpPort()));
-    if (!Opts.UnixSocketPath.empty())
-      std::fprintf(stderr, "termcheckd: listening on %s\n",
-                   Opts.UnixSocketPath.c_str());
+    std::fprintf(stderr, "termcheckd: listening on %s\n",
+                 Opts.UnixSocketPath.c_str());
   }
 
   std::atomic<int> Signals{0};
